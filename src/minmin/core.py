@@ -144,8 +144,11 @@ class OracleLedger:
     """Monotone counters for subgradient, gradient and linear-solve work.
 
     ``grad_y_calls`` counts component-gradient calls for finite sums and full
-    gradients otherwise; ``matrix_inversions`` counts d-by-d factorizations
-    performed while recentering the cutting-plane polytope.
+    gradients otherwise.  ``matrix_inversions`` counts one Cholesky
+    factorization of the barrier Hessian H per Newton iterate while
+    recentering the cutting-plane polytope.  The solve with Q for each Newton
+    direction and the factorizations of rejected line-search trials are not
+    charged (ROADMAP item 2(a)).
     """
 
     def __init__(self):

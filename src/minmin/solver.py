@@ -15,18 +15,16 @@ trajectory.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .core import CountingOracle, OracleLedger, RunHistory
+from .core import CountingOracle, FiniteSum, OracleLedger, RunHistory
 from .fgm import RestartConfig, fgm_run
 from .vaidya import VaidyaConfig, VaidyaResult, vaidya_minimize
 from .varag import build_schedule, varag_run
-from .core import FiniteSum
 
 __all__ = [
     "InnerStagnationError",
@@ -40,8 +38,6 @@ __all__ = [
     "solve_minmin",
     "strong_convexity_gap_bound",
 ]
-
-logger = logging.getLogger("minmin")
 
 INNER_SELECTORS = ("restarted-fgm", "varag")
 
@@ -243,15 +239,7 @@ def delta_from_eps(problem: MinMinProblem, eps_inner: float) -> float:
     if eps_inner < 0:
         raise ValueError("eps_inner must be nonnegative")
     scale = math.sqrt(2.0 * eps_inner / problem.mu)
-    delta = (problem.L * problem.diameter_y + problem.grad_norm_bound) * scale
-    squared_variant = (
-        problem.L * problem.diameter_y + problem.grad_norm_bound**2
-    ) * scale
-    logger.debug(
-        "delta_from_eps: eps=%.3e delta=%.6e (squared-G variant %.6e)",
-        eps_inner, delta, squared_variant,
-    )
-    return delta
+    return (problem.L * problem.diameter_y + problem.grad_norm_bound) * scale
 
 
 def delta_subgradient(

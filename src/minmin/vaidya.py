@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .core import Box, OracleLedger
 
@@ -148,7 +148,7 @@ class BarrierState:
 
     def hinv_quad(self, c) -> float:
         """Quadratic form c^T H^{-1} c via the cached Cholesky factor."""
-        w = solve_triangular(self.chol, np.asarray(c, dtype=float), lower=True)
+        w = _solve_lower(self.chol, np.asarray_chkfinite(c, dtype=float))
         return float(w @ w)
 
 
@@ -168,44 +168,86 @@ class VaidyaConfig:
             raise ValueError("iteration limits must be positive")
 
 
-def barrier_quantities(poly: Polytope, x, ledger: OracleLedger | None = None) -> BarrierState:
-    """Slacks, H, leverage scores, volumetric gradient and Q at interior x.
+# The one barrier-evaluation path has two steps.  ``_factor`` builds the slacks,
+# W, H, its Cholesky factor and 0.5*logdet H; every line-search trial runs it.
+# ``_complete`` turns factored data into a full ``BarrierState`` (leverage
+# scores, gradient, Q) without refactoring, and charges the ledger once.
 
-    Performs exactly one d-by-d factorization (charged to the ledger); the
-    leverage scores come from per-row triangular solves against that factor.
-    """
-    x = np.asarray(x, dtype=float)
+
+class _Factored(NamedTuple):
+    x: np.ndarray
+    slacks: np.ndarray
+    W: np.ndarray  # rows a_i / s_i
+    H: np.ndarray
+    chol: np.ndarray
+    value: float
+
+
+def _factor(poly: Polytope, x: np.ndarray) -> _Factored:
     s = poly.slacks(x)
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise InfeasiblePointError("point is not strictly interior to the polytope")
-    W = poly.A / s[:, None]  # rows a_i / s_i
+    W = poly.A / s[:, None]
     H = W.T @ W
     try:
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise DegeneratePolytopeError("barrier Hessian is singular") from exc
+    return _Factored(x, s, W, H, chol, float(np.log(chol.diagonal()).sum()))
+
+
+def _trial(poly: Polytope, x: np.ndarray) -> _Factored | None:
+    """``_factor`` for a line search: None outside the interior or when singular."""
+    try:
+        return _factor(poly, x)
+    except (InfeasiblePointError, DegeneratePolytopeError):
+        return None
+
+
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} rhs for a lower-triangular L, through LAPACK ``dtrtrs``.
+
+    Makes the same ``dtrtrs`` call as ``scipy.linalg.solve_triangular(chol,
+    rhs, lower=True)``, so the result is bit-identical, without that wrapper's
+    per-call validation.
+    """
+    if chol.flags.f_contiguous:
+        solution, info = dtrtrs(chol, rhs, lower=1)
+    else:  # a C-ordered L is the Fortran-ordered upper factor L^T
+        solution, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
+    if info != 0:
+        raise DegeneratePolytopeError(f"triangular solve failed (LAPACK info {info})")
+    return solution
+
+
+def _complete(factored: _Factored, ledger: OracleLedger | None) -> BarrierState:
+    x, s, W, H, chol, value = factored
     if ledger is not None:
         ledger.add_inversion()
-    V = solve_triangular(chol, W.T, lower=True)  # columns L^{-1} a_i / s_i
+    V = _solve_lower(chol, W.T)  # columns L^{-1} a_i / s_i
     sigma = np.einsum("ij,ij->j", V, V)
     grad = -(W.T @ sigma)
     Q = (W * sigma[:, None]).T @ W
-    value = float(np.sum(np.log(np.diag(chol))))
     return BarrierState(x=x.copy(), slacks=s, H=H, chol=chol, sigma=sigma, grad=grad, Q=Q, value=value)
+
+
+def barrier_quantities(poly: Polytope, x, ledger: OracleLedger | None = None) -> BarrierState:
+    """Slacks, H, leverage scores, volumetric gradient and Q at interior x.
+
+    Performs one Cholesky factorization of H and charges it to the ledger as
+    one ``matrix_inversions``; the leverage scores come from triangular solves
+    against that factor.  Recentering charges one such factorization per
+    Newton iterate.  The solve with Q for each Newton direction and the
+    factorizations of rejected line-search trials are not charged (ROADMAP
+    item 2(a)).
+    """
+    return _complete(_factor(poly, np.asarray(x, dtype=float)), ledger)
 
 
 def volumetric_value(poly: Polytope, x) -> float:
     """0.5*logdet H(x); +inf outside the interior (handy for line searches)."""
-    s = poly.slacks(x)
-    if np.any(s <= 0):
-        return math.inf
-    W = poly.A / s[:, None]
-    H = W.T @ W
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return math.inf
-    return float(np.sum(np.log(np.diag(chol))))
+    factored = _trial(poly, x)
+    return math.inf if factored is None else factored.value
 
 
 def place_cut(hinv_quad: float, x, c, gamma: float) -> float:
@@ -248,20 +290,20 @@ def _recenter(
         if decrement <= config.newton_tolerance:
             break
         t = 1.0
-        candidate = None
+        accepted = None
         for _ in range(60):
-            trial = x - t * direction
-            if volumetric_value(poly, trial) <= state.value - 0.25 * t * squared:
-                candidate = trial
+            trial = _trial(poly, x - t * direction)
+            if trial is not None and trial.value <= state.value - 0.25 * t * squared:
+                accepted = trial
                 break
             t *= 0.5
-        if candidate is None:
+        if accepted is None:
             if decrement <= _STAGNATION_DECREMENT:
                 break
             raise NewtonStagnationError(x)
-        x = candidate
+        x = accepted.x
         previous_value = state.value
-        state = barrier_quantities(poly, x, ledger)
+        state = _complete(accepted, ledger)  # reuses the accepted trial's factor
         solves += 1
         # Per-step progress at the rounding floor: further steps only churn.
         if previous_value - state.value <= 1e-13 * (1.0 + abs(state.value)):

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import solve_triangular
 
+from minmin import vaidya as vaidya_module
 from minmin import (
     Ball,
     Box,
@@ -131,6 +133,28 @@ class TestBarrierQuantities:
         assert_allclose(volumetric_value(poly, state.x), state.value, rtol=1e-14)
         assert volumetric_value(poly, np.array([1.5, 0.0])) == math.inf
 
+    def test_triangular_solves_match_scipy_bitwise(self):
+        # The leverage scores and c^T H^{-1} c come from LAPACK dtrtrs on the
+        # cached factor; they must equal scipy's solve_triangular bit for bit.
+        rng = seeded_rng(21)
+        for dim in (1, 2, 3, 5, 8):
+            for _ in range(10):
+                poly = random_polytope(rng, dim, extra_rows=int(rng.integers(0, 10)))
+                direction = rng.normal(size=dim)
+                x = 0.25 * direction / max(1.0, float(np.linalg.norm(direction)))
+                state = barrier_quantities(poly, x)
+                W = poly.A / state.slacks[:, None]
+                V = solve_triangular(state.chol, W.T, lower=True)
+                assert np.array_equal(state.sigma, np.einsum("ij,ij->j", V, V))
+                c = rng.normal(size=dim)
+                w = solve_triangular(state.chol, c, lower=True)
+                assert state.hinv_quad(c) == float(w @ w)
+
+    def test_hinv_quad_rejects_nonfinite_direction(self):
+        state = barrier_quantities(Polytope.from_box(Box(-np.ones(2), np.ones(2))), np.zeros(2))
+        with pytest.raises(ValueError):
+            state.hinv_quad(np.array([np.nan, 1.0]))
+
 
 class TestPlaceCut:
     def test_pinned_values(self):
@@ -210,6 +234,105 @@ class TestNewtonRecenter:
         err = NewtonStagnationError(np.array([0.5, 0.5]))
         assert_array_equal(err.x, [0.5, 0.5])
         assert "stagnated" in str(err)
+
+
+def _reference_recenter(poly, x_start, config, ledger):
+    """Recentering as it was before the line search's factor was reused.
+
+    Every trial goes through ``volumetric_value``, and the accepted point is
+    rebuilt from scratch by ``barrier_quantities``.
+    """
+    x = np.asarray(x_start, dtype=float).copy()
+    state = barrier_quantities(poly, x, ledger)
+    solves = 1
+    for _ in range(config.max_newton_steps):
+        direction = np.linalg.solve(state.Q, state.grad)
+        squared = max(float(state.grad @ direction), 0.0)
+        decrement = math.sqrt(squared)
+        if decrement <= config.newton_tolerance:
+            break
+        t = 1.0
+        candidate = None
+        for _ in range(60):
+            trial = x - t * direction
+            if volumetric_value(poly, trial) <= state.value - 0.25 * t * squared:
+                candidate = trial
+                break
+            t *= 0.5
+        if candidate is None:
+            if decrement <= vaidya_module._STAGNATION_DECREMENT:
+                break
+            raise NewtonStagnationError(x)
+        x = candidate
+        previous_value = state.value
+        state = barrier_quantities(poly, x, ledger)
+        solves += 1
+        if previous_value - state.value <= 1e-13 * (1.0 + abs(state.value)):
+            break
+    return x, state, solves
+
+
+def _bowl_oracle(target):
+    return lambda x: (float((x - target) @ (x - target)), 2.0 * (x - target))
+
+
+class TestFactorReuse:
+    """Reusing the accepted trial's factor changes no iterate and no count."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_recenter_iterates_match_reference_bitwise(self, dim):
+        rng = seeded_rng(100 + dim)
+        for _ in range(10):
+            poly = random_polytope(rng, dim, extra_rows=int(rng.integers(0, 3 * dim)))
+            direction = rng.normal(size=dim)
+            start = 0.25 * direction / max(1.0, float(np.linalg.norm(direction)))
+            ref_ledger, ledger = OracleLedger(), OracleLedger()
+            x_ref, _, _ = _reference_recenter(poly, start, VaidyaConfig(), ref_ledger)
+            x = newton_recenter(poly, start, VaidyaConfig(), ledger)
+            assert np.array_equal(x, x_ref)
+            assert ledger.matrix_inversions == ref_ledger.matrix_inversions
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_minimize_counts_match_reference(self, dim, monkeypatch):
+        target = seeded_rng(200 + dim).uniform(-0.8, 0.8, size=dim)
+        region = Box(-np.ones(dim), np.ones(dim))
+        config = VaidyaConfig(max_iterations=60)
+        ledger = OracleLedger()
+        result = vaidya_minimize(_bowl_oracle(target), dim, region, config, ledger)
+        monkeypatch.setattr(vaidya_module, "_recenter", _reference_recenter)
+        ref_ledger = OracleLedger()
+        reference = vaidya_minimize(_bowl_oracle(target), dim, region, config, ref_ledger)
+        assert ledger.matrix_inversions == ref_ledger.matrix_inversions
+        assert len(result.iterations) == len(reference.iterations)
+        for it, ref in zip(result.iterations, reference.iterations):
+            assert it.barrier_solves == ref.barrier_solves
+            assert it.action == ref.action
+            assert np.array_equal(it.x, ref.x)
+        assert repr(result.best_value) == repr(reference.best_value)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_every_recorded_center_is_within_stagnation_decrement(dim, monkeypatch):
+    # Centrality: the Newton decrement sqrt(g^T Q^{-1} g) at each center the
+    # outer loop records is at most the stagnation threshold.
+    states = []
+    recenter = vaidya_module._recenter
+
+    def recording(poly, x_start, config, ledger):
+        x, state, solves = recenter(poly, x_start, config, ledger)
+        states.append(state)
+        return x, state, solves
+
+    monkeypatch.setattr(vaidya_module, "_recenter", recording)
+    target = seeded_rng(300 + dim).uniform(-0.8, 0.8, size=dim)
+    result = vaidya_minimize(
+        _bowl_oracle(target), dim, Box(-np.ones(dim), np.ones(dim)), VaidyaConfig(max_iterations=150)
+    )
+    assert len(states) == len(result.iterations)
+    for state, it in zip(states, result.iterations):
+        assert np.array_equal(state.x, it.x)
+        decrement = math.sqrt(max(float(state.grad @ np.linalg.solve(state.Q, state.grad)), 0.0))
+        assert decrement <= vaidya_module._STAGNATION_DECREMENT, f"k={it.k}: {decrement:.3e}"
 
 
 class TestVaidyaConfig:
