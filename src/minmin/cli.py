@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +60,16 @@ class BlockSet:
     first: object
     second: object
 
-    @property
+    # Both blocks are immutable, so the split point and the shape a point
+    # must have are worked out once: the projection in Varag's inner step
+    # then checks its input with one conversion and one shape comparison.
+    @cached_property
     def dim(self) -> int:
         return self.first.dim + self.second.dim
+
+    @cached_property
+    def _shape_and_cut(self) -> tuple[tuple[int], int]:
+        return (self.dim,), self.first.dim
 
     @property
     def center(self) -> np.ndarray:
@@ -69,9 +77,10 @@ class BlockSet:
 
     def split(self, point) -> tuple[np.ndarray, np.ndarray]:
         point = np.asarray(point, dtype=float)
-        if point.shape != (self.dim,):
+        shape, cut = self._shape_and_cut
+        if point.shape != shape:
             raise ValueError(f"point has shape {point.shape}, set has dimension {self.dim}")
-        return point[: self.first.dim], point[self.first.dim :]
+        return point[:cut], point[cut:]
 
     def diameter(self) -> float:
         return math.hypot(self.first.diameter(), self.second.diameter())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,15 @@ def _vector(x, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _point(point, shape: tuple[int]) -> np.ndarray:
+    """``point`` as a float vector of the set's ``shape``; one check on the hot path."""
+    p = np.asarray(point, dtype=float)
+    if p.shape != shape:
+        _vector(p, "point")
+        raise ValueError(f"point has dimension {p.size}, set has {shape[0]}")
+    return p
+
+
 @dataclass(frozen=True)
 class Ball:
     """Euclidean ball ``{y : ||y - center||_2 <= radius}``."""
@@ -62,26 +72,22 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
+    # The norms below are sqrt(v @ v), which is exactly what np.linalg.norm
+    # computes for a 1-d float vector, without its dispatch overhead.
     def contains(self, point, tol: float = 1e-12) -> bool:
-        p = self._check(point)
-        return float(np.linalg.norm(p - self.center)) <= self.radius + tol * (1.0 + self.radius)
+        offset = _point(point, self.center.shape) - self.center
+        return math.sqrt(offset @ offset) <= self.radius + tol * (1.0 + self.radius)
 
     def project(self, point) -> np.ndarray:
-        p = self._check(point)
+        p = _point(point, self.center.shape)
         offset = p - self.center
-        norm = float(np.linalg.norm(offset))
+        norm = math.sqrt(offset @ offset)
         if norm <= self.radius:
             return p.copy()
         return self.center + offset * (self.radius / norm)
 
     def bounding_box(self) -> "Box":
         return Box(self.center - self.radius, self.center + self.radius)
-
-    def _check(self, point) -> np.ndarray:
-        p = _vector(point, "point")
-        if p.size != self.dim:
-            raise ValueError(f"point has dimension {p.size}, set has {self.dim}")
-        return p
 
 
 @dataclass(frozen=True)
@@ -111,22 +117,15 @@ class Box:
         return float(np.linalg.norm(self.upper - self.lower))
 
     def contains(self, point, tol: float = 1e-12) -> bool:
-        p = self._check(point)
+        p = _point(point, self.lower.shape)
         scale = 1.0 + float(np.max(np.abs(self.upper - self.lower)))
         return bool(np.all(p >= self.lower - tol * scale) and np.all(p <= self.upper + tol * scale))
 
     def project(self, point) -> np.ndarray:
-        p = self._check(point)
-        return np.clip(p, self.lower, self.upper)
+        return np.clip(_point(point, self.lower.shape), self.lower, self.upper)
 
     def bounding_box(self) -> "Box":
         return self
-
-    def _check(self, point) -> np.ndarray:
-        p = _vector(point, "point")
-        if p.size != self.dim:
-            raise ValueError(f"point has dimension {p.size}, set has {self.dim}")
-        return p
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -63,15 +63,17 @@ def fgm_run(
         raise ValueError("y0 must lie in the feasible region")
     u = y.copy()
     A = 0.0
+    gradient, project = oracle.gradient, region.project
     for k in range(num_steps):
-        alpha = next_alpha(A, L)
+        alpha = (1.0 + math.sqrt(1.0 + 4.0 * L * A)) / (2.0 * L)  # next_alpha(A, L)
         A_next = A + alpha
-        z = (alpha * u + A * y) / A_next
-        g = np.asarray(oracle.gradient(z), dtype=float)
-        if not np.all(np.isfinite(g)):
+        Ay = A * y  # shared by z and the new y
+        z = (alpha * u + Ay) / A_next
+        g = np.asarray(gradient(z), dtype=float)
+        if not np.isfinite(g).all():
             raise NumericFailureError("non-finite gradient", step=k + 1)
-        u = region.project(u - alpha * g)
-        y = (alpha * u + A * y) / A_next
+        u = project(u - alpha * g)
+        y = (alpha * u + Ay) / A_next
         A = A_next
         if callback is not None:
             callback(FgmState(k=k + 1, y=y, z=z, u=u, alpha=alpha, A=A))

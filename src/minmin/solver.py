@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CountingOracle, FiniteSum, OracleLedger, RunHistory
+from .core import FiniteSum, OracleLedger, RunHistory
 from .fgm import RestartConfig, fgm_run
 from .vaidya import VaidyaConfig, VaidyaResult, vaidya_minimize
 from .varag import build_schedule, varag_run
@@ -118,19 +118,23 @@ def strong_convexity_gap_bound(region, mu: float, y, gradient) -> float:
     return float(g @ w - 0.5 * mu * (w @ w))
 
 
-class _FixedXOracle:
-    """Smooth-oracle view of y -> F(x, y) for a frozen x."""
+class _FixedXGradient:
+    """``gradient(y) = grad_y F(x, y)`` for a frozen x, counting evaluations.
+
+    Callers pass float vectors and convert the result themselves (``fgm_run``
+    and ``strong_convexity_gap_bound`` both do), so nothing is converted here.
+    """
+
+    __slots__ = ("_grad_y", "_x", "evaluated")
 
     def __init__(self, problem: MinMinProblem, x: np.ndarray):
-        self._problem = problem
+        self._grad_y = problem.grad_y
         self._x = x
-        self.dimension = problem.y_dim
+        self.evaluated = 0
 
-    def value(self, y) -> float:
-        return float(self._problem.value(self._x, np.asarray(y, dtype=float)))
-
-    def gradient(self, y) -> np.ndarray:
-        return np.asarray(self._problem.grad_y(self._x, np.asarray(y, dtype=float)), dtype=float)
+    def gradient(self, y):
+        self.evaluated += 1
+        return self._grad_y(self._x, y)
 
 
 def _fixed_x_finite_sum(problem: MinMinProblem, x: np.ndarray) -> FiniteSum:
@@ -173,7 +177,9 @@ def inner_solve(
     restart-count guarantee with R = D/sqrt(2); the Varag path raises
     InnerStagnationError if a generous epoch cap passes uncertified.
     ``max_grad_y`` bounds the gradient budget (used for end-of-run
-    truncation; the accuracy contract is then waived).
+    truncation; the accuracy contract is then waived).  The FGM path charges
+    the ledger once per restart block, with exactly the gradients evaluated,
+    also when the block raises.
     """
     if eps_inner <= 0:
         raise ValueError("eps_inner must be positive")
@@ -192,20 +198,32 @@ def inner_solve(
 
     if selector == "restarted-fgm":
         cost = problem.components.m if problem.components is not None else 1
-        base = _FixedXOracle(problem, x)
-        oracle = CountingOracle(base, ledger, cost) if ledger is not None else base
+        oracle = _FixedXGradient(problem, x)
+
+        def charge() -> None:
+            """Charge the gradients evaluated since the last charge."""
+            if ledger is not None:
+                ledger.add_grad_y(cost * oracle.evaluated)
+            oracle.evaluated = 0
 
         def certificate(point: np.ndarray) -> float:
             return strong_convexity_gap_bound(region, mu, point, oracle.gradient(point))
 
         config = RestartConfig(L=L, mu=mu, epsilon=eps_inner, R=problem.diameter_y / math.sqrt(2.0))
-        if certificate(y) > eps_inner:
-            for _ in range(config.num_restarts):
-                if max_grad_y is not None and spent() + cost * config.steps_per_restart > max_grad_y:
-                    break
-                y = fgm_run(oracle, region, y, L, config.steps_per_restart)
-                if certificate(y) <= eps_inner:
-                    break
+        steps = config.steps_per_restart
+        # One ledger charge per restart block (its steps and its certificate);
+        # the ``finally`` keeps the charge exact when a block raises.
+        try:
+            if certificate(y) > eps_inner:
+                for _ in range(config.num_restarts):
+                    charge()
+                    if max_grad_y is not None and spent() + cost * steps > max_grad_y:
+                        break
+                    y = fgm_run(oracle, region, y, L, steps)
+                    if certificate(y) <= eps_inner:
+                        break
+        finally:
+            charge()
     else:
         if problem.components is None:
             raise ValueError("the varag selector needs a finite-sum decomposition")

@@ -154,7 +154,8 @@ def varag_run(
 
     ``oracle`` is a finite-sum oracle (``m``, ``mu``, ``lipschitz``,
     ``component_gradient``, ``gradient``, ``value``).  Each full pass charges m
-    component-gradient calls to the ledger and each inner step charges 2.  With
+    component-gradient calls to the ledger and each inner step charges 2 (an
+    epoch's inner steps are charged together when the epoch ends or raises).  With
     ``max_component_gradients`` set, no new work starts once the budget is
     consumed (worst-case overshoot below m + 2) and a truncated epoch is
     finalized with the partial theta-average.  ``history``, if given, must be
@@ -172,6 +173,13 @@ def varag_run(
     schedule = schedule or build_schedule(oracle.m, oracle.L, oracle.mu, oracle.lipschitz)
     m, mu = schedule.m, schedule.mu
     q = schedule.probabilities
+    # rng.choice(m, p=q) draws cdf.searchsorted(rng.random(), side="right")
+    # with this same normalized CDF, so drawing an epoch's indices at once
+    # from rng.random(T) gives the same indices.  A run that stops inside an
+    # epoch draws past its last step, but never draws again.
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    scale = (q * m).tolist()  # q_i * m, the estimator's importance weights
     rng = seeded_rng(seed)
 
     used = 0
@@ -210,25 +218,39 @@ def varag_run(
         lift = 1.0 + mu * gamma
         denom = 1.0 + mu * gamma * (1.0 - alpha)
 
+        # Epoch constants, each computed in the operation order of the step
+        # that uses it, so the iterates do not change by a bit.
+        keep = 1.0 - alpha - p
+        under_bar = lift * keep
+        under_anchor = lift * p * y_tilde
+        bar_anchor = p * y_tilde
+
         y_t = y_end.copy()
         y_bar = y_tilde.copy()
         accum = np.zeros_like(y0)
         weight_sum = 0.0
         steps_done = 0
-        for t in range(1, T + 1):
-            if exhausted():
-                break
-            i = int(rng.choice(m, p=q))
-            y_under = (lift * (1.0 - alpha - p) * y_bar + alpha * y_t + lift * p * y_tilde) / denom
-            grad_est = (
-                oracle.component_gradient(i, y_under) - oracle.component_gradient(i, y_tilde)
-            ) / (q[i] * m) + g_tilde
-            charge(2)
-            y_t = varag_inner_prox(y_t, y_under, grad_est, gamma, mu, region)
-            y_bar = (1.0 - alpha - p) * y_bar + alpha * y_t + p * y_tilde
-            accum += thetas[t - 1] * y_bar
-            weight_sum += thetas[t - 1]
-            steps_done = t
+        indices = cdf.searchsorted(rng.random(T), side="right").tolist()
+        used_before = used
+        try:
+            for t, i in enumerate(indices, start=1):
+                if exhausted():
+                    break
+                y_under = (under_bar * y_bar + alpha * y_t + under_anchor) / denom
+                grad_est = (
+                    oracle.component_gradient(i, y_under) - oracle.component_gradient(i, y_tilde)
+                ) / scale[i] + g_tilde
+                used += 2
+                y_t = varag_inner_prox(y_t, y_under, grad_est, gamma, mu, region)
+                y_bar = keep * y_bar + alpha * y_t + bar_anchor
+                accum += thetas[t - 1] * y_bar
+                weight_sum += thetas[t - 1]
+                steps_done = t
+        finally:
+            # The epoch's inner steps reach the ledger in one charge, exact
+            # also when a step raises.
+            if ledger is not None:
+                ledger.add_grad_y(used - used_before)
         if steps_done:
             y_end = y_t
             y_tilde = accum / weight_sum

@@ -56,6 +56,43 @@ class TestBall:
         with pytest.raises(ValueError):
             ball.project(np.zeros(3))
 
+    @pytest.mark.parametrize("point,message", [
+        (np.zeros(3), r"point has dimension 3, set has 2"),
+        (np.zeros((2, 1)), r"point must be one-dimensional, got shape \(2, 1\)"),
+        (1.0, r"point must be one-dimensional, got shape \(\)"),
+    ])
+    def test_wrong_shape_messages(self, point, message):
+        ball = Ball(np.zeros(2), 1.0)
+        for method in (ball.project, ball.contains):
+            with pytest.raises(ValueError, match=message):
+                method(point)
+
+    @pytest.mark.parametrize("n", [1, 5, 50, 500])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_bitwise_equal_to_linalg_norm_formula(self, n, scale):
+        # Reference: the np.linalg.norm formula the projection used before it
+        # switched to sqrt(v @ v).
+        def reference_project(ball, p):
+            offset = p - ball.center
+            norm = float(np.linalg.norm(offset))
+            return p.copy() if norm <= ball.radius else ball.center + offset * (ball.radius / norm)
+
+        rng = seeded_rng(n)
+        for _ in range(20):
+            ball = Ball(scale * rng.normal(size=n), scale * rng.uniform(0.5, 2.0))
+            direction = rng.normal(size=n)
+            unit = direction / np.linalg.norm(direction)
+            on_sphere = ball.center + ball.radius * unit
+            for p in (ball.center + 0.5 * ball.radius * unit,  # inside
+                      on_sphere, ball.project(on_sphere),  # on (to rounding)
+                      ball.center + 3.0 * ball.radius * unit):  # outside
+                assert ball.project(p).tobytes() == reference_project(ball, p).tobytes()
+                distance = float(np.linalg.norm(p - ball.center))
+                for tol in (0.0, 1e-12, 1e-9):
+                    assert ball.contains(p, tol) == (
+                        distance <= ball.radius + tol * (1.0 + ball.radius)
+                    )
+
 
 class TestBox:
     def test_projection_is_clipping(self):

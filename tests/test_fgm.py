@@ -1,5 +1,6 @@
 """Tests for the projected fast gradient method and its restart wrapper."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,20 @@ from numpy.testing import assert_allclose
 from minmin import (
     Ball,
     Box,
+    CountingOracle,
     FunctionOracle,
     NumericFailureError,
+    OracleLedger,
     RestartConfig,
     fgm_restarted,
     fgm_run,
+    inner_solve,
+    make_logreg_minmin,
+    make_quadratic_minmin,
+    make_synthetic_classification,
     next_alpha,
     seeded_rng,
+    strong_convexity_gap_bound,
 )
 
 
@@ -202,3 +210,127 @@ def test_stop_when_short_circuits_blocks():
 
     fgm_restarted(oracle, region, np.array([2.0, 1.0]), cfg, stop_when=stop_when)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the restarted-FGM inner solve as it was before its hot
+# path was made lean: projection through np.linalg.norm, ``next_alpha`` and
+# ``np.all(np.isfinite(...))`` per step, and a ledger charge per gradient
+# through CountingOracle.  The lean path must match it bit for bit.
+
+
+class NormBall:
+    """Ball whose norms go through np.linalg.norm, with the two-step check."""
+
+    def __init__(self, ball):
+        self.center, self.radius = ball.center, ball.radius
+
+    def _check(self, point):
+        p = np.asarray(point, dtype=float)
+        if p.ndim != 1 or p.size != self.center.size:
+            raise ValueError("bad point")
+        return p
+
+    def contains(self, point, tol=1e-12):
+        p = self._check(point)
+        return float(np.linalg.norm(p - self.center)) <= self.radius + tol * (1.0 + self.radius)
+
+    def project(self, point):
+        p = self._check(point)
+        offset = p - self.center
+        norm = float(np.linalg.norm(offset))
+        if norm <= self.radius:
+            return p.copy()
+        return self.center + offset * (self.radius / norm)
+
+
+def reference_fgm_run(oracle, region, y0, L, num_steps):
+    y = np.asarray(y0, dtype=float).copy()
+    u = y.copy()
+    A = 0.0
+    for k in range(num_steps):
+        alpha = next_alpha(A, L)
+        A_next = A + alpha
+        z = (alpha * u + A * y) / A_next
+        g = np.asarray(oracle.gradient(z), dtype=float)
+        if not np.all(np.isfinite(g)):
+            raise NumericFailureError("non-finite gradient", step=k + 1)
+        u = region.project(u - alpha * g)
+        y = (alpha * u + A * y) / A_next
+        A = A_next
+    return y
+
+
+def reference_inner_solve(problem, x, eps_inner, ledger, y_start=None, max_grad_y=None):
+    region = NormBall(problem.set_y)
+    y = np.asarray(y_start, dtype=float).copy() if y_start is not None else region.center.copy()
+    start_calls = ledger.grad_y_calls
+    cost = problem.components.m if problem.components is not None else 1
+    fixed_x = FunctionOracle(
+        problem.y_dim, lambda v: problem.value(x, v), lambda v: problem.grad_y(x, v)
+    )
+    oracle = CountingOracle(fixed_x, ledger, cost)
+
+    def certificate(point):
+        return strong_convexity_gap_bound(region, problem.mu, point, oracle.gradient(point))
+
+    config = RestartConfig(
+        L=problem.L, mu=problem.mu, epsilon=eps_inner, R=problem.diameter_y / math.sqrt(2.0)
+    )
+    if certificate(y) > eps_inner:
+        for _ in range(config.num_restarts):
+            spent = ledger.grad_y_calls - start_calls
+            if max_grad_y is not None and spent + cost * config.steps_per_restart > max_grad_y:
+                break
+            y = reference_fgm_run(oracle, region, y, problem.L, config.steps_per_restart)
+            if certificate(y) <= eps_inner:
+                break
+    return y, float(problem.value(x, y))
+
+
+def _quadratic(num_components):
+    problem, _ = make_quadratic_minmin(3, 12, 0.05, seed=4, num_components=num_components)
+    return problem
+
+
+def _logistic(finite_sum):
+    problem = make_logreg_minmin(make_synthetic_classification(60, 14, seed=2), 4, 0.01)
+    return problem if finite_sum else dataclasses.replace(problem, components=None)
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: _quadratic(None), lambda: _quadratic(3), lambda: _logistic(False),
+    lambda: _logistic(True),
+], ids=["quadratic", "quadratic-finite-sum", "logistic", "logistic-finite-sum"])
+@pytest.mark.parametrize("max_grad_y", [None, "truncating"])
+def test_inner_solve_matches_reference_loop_bitwise(make_problem, max_grad_y):
+    problem = make_problem()
+    cost = problem.components.m if problem.components is not None else 1
+    rng = seeded_rng(11)
+    lean_ledger, reference_ledger = OracleLedger(), OracleLedger()
+    y_warm = None
+    truncated = 0
+    for call in range(6):
+        x = problem.set_x.project(rng.normal(size=problem.x_dim))
+        eps = 10.0 ** -(3 + call)
+        # Room for the entry certificate and half a block, or for one block
+        # and its certificate and half of the next.
+        budget = None
+        if max_grad_y == "truncating":
+            steps = RestartConfig(L=problem.L, mu=problem.mu, epsilon=eps, R=1.0).steps_per_restart
+            budget = cost * (1 + (call % 2) * (steps + 1) + steps // 2)
+        lean = inner_solve(problem, x, eps, ledger=lean_ledger, y_start=y_warm,
+                           max_grad_y=budget)
+        before = reference_ledger.grad_y_calls
+        reference = reference_inner_solve(problem, x, eps, reference_ledger, y_start=y_warm,
+                                          max_grad_y=budget)
+        assert np.array_equal(lean[0], reference[0])
+        assert lean[1] == reference[1]
+        assert lean_ledger.snapshot() == reference_ledger.snapshot()
+        if budget is not None:
+            unbounded = OracleLedger()
+            reference_inner_solve(problem, x, eps, unbounded, y_start=y_warm)
+            truncated += unbounded.grad_y_calls > reference_ledger.grad_y_calls - before
+        y_warm = lean[0]
+    if max_grad_y == "truncating":
+        assert truncated > 0  # the budget did cut some solves short

@@ -13,6 +13,7 @@ from minmin import (
     MinMinComponents,
     MinMinConfig,
     MinMinProblem,
+    NumericFailureError,
     OracleLedger,
     RunHistory,
     VaidyaConfig,
@@ -284,6 +285,47 @@ class TestInnerSolve:
         # Through the driver the failure reports which outer iteration died.
         with pytest.raises(InnerStagnationError, match="outer iteration 0"):
             solve_minmin(problem, MinMinConfig(target_epsilon=1e-3, inner="varag"))
+
+    @pytest.mark.parametrize("num_components", [None, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_failure_in_second_block_charges_exactly_the_evaluated_gradients(
+        self, num_components, k
+    ):
+        # F(x, y) = 0.5 * sum_j D_j (y_j - x_j)^2 with L/mu = 40, so one
+        # restart block cannot certify 1e-14 and a second block runs.
+        diag = np.linspace(0.5, 20.0, 4)
+        block = math.ceil(4.0 * math.sqrt(20.0 / 0.5))
+        # Entry certificate, block 1, its certificate, then step k of block 2.
+        failing_call = 1 + block + 1 + k
+        evaluated = []
+
+        def grad_y(x, y):
+            evaluated.append(1)
+            g = diag * (y - x)
+            return np.full_like(g, np.nan) if len(evaluated) == failing_call else g
+
+        comps = None
+        if num_components is not None:
+            comps = MinMinComponents(
+                m=num_components, lipschitz=np.full(num_components, 20.0),
+                value=lambda i, x, y: 0.0,
+                grad_y=lambda i, x, y: diag * (y - x),
+                subgrad_x=lambda i, x, y: diag * (x - y),
+            )
+        problem = MinMinProblem(
+            x_dim=4, y_dim=4,
+            set_x=Box(-np.ones(4), np.ones(4)), set_y=Ball(np.zeros(4), 3.0),
+            value=lambda x, y: 0.5 * float(diag @ (y - x) ** 2),
+            grad_y=grad_y, subgrad_x=lambda x, y: diag * (x - y),
+            L=20.0, mu=0.5, components=comps,
+        )
+        ledger = OracleLedger()
+        with pytest.raises(NumericFailureError) as info:
+            inner_solve(problem, np.array([0.9, -0.8, 0.7, -0.6]), 1e-14, ledger=ledger)
+        assert info.value.step == k
+        assert len(evaluated) == failing_call
+        cost = num_components or 1
+        assert ledger.grad_y_calls == cost * failing_call
 
 
 class TestConfigValidation:

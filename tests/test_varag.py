@@ -401,3 +401,135 @@ class TestStoppingHooks:
                   epochs=9, seed=0, history=history, stop_when=stop_when)
         assert len(visited) == 2
         assert len(history) == 3  # initial + two epoch rows
+
+
+# ---------------------------------------------------------------------------
+# Reference copy of the Varag loop as it was before the per-epoch CDF draws:
+# one rng.choice(m, p=q) per inner step and one ledger charge per gradient
+# pair.  varag_run must reproduce it bit for bit.
+
+
+def reference_varag_run(oracle, region, y0, epochs, seed, ledger, history,
+                        max_component_gradients=None):
+    schedule = build_schedule(oracle.m, oracle.L, oracle.mu, oracle.lipschitz)
+    m, mu = schedule.m, schedule.mu
+    q = schedule.probabilities
+    rng = seeded_rng(seed)
+    used = 0
+
+    def charge(count):
+        nonlocal used
+        used += count
+        ledger.add_grad_y(count)
+
+    def exhausted():
+        return max_component_gradients is not None and used >= max_component_gradients
+
+    history.append(0, oracle.value(y0), ledger, note="initial")
+    y_tilde = y0.copy()
+    y_end = y0.copy()
+    for s in range(1, epochs + 1):
+        if exhausted():
+            break
+        g_tilde = oracle.gradient(y_tilde)
+        charge(m)
+        T = schedule.inner_steps(s)
+        alpha = schedule.alpha(s)
+        gamma = schedule.gamma(s)
+        p = schedule.anchor_weight(s)
+        thetas = schedule.theta(s)
+        lift = 1.0 + mu * gamma
+        denom = 1.0 + mu * gamma * (1.0 - alpha)
+        y_t = y_end.copy()
+        y_bar = y_tilde.copy()
+        accum = np.zeros_like(y0)
+        weight_sum = 0.0
+        steps_done = 0
+        for t in range(1, T + 1):
+            if exhausted():
+                break
+            i = int(rng.choice(m, p=q))
+            y_under = (lift * (1.0 - alpha - p) * y_bar + alpha * y_t + lift * p * y_tilde) / denom
+            grad_est = (
+                oracle.component_gradient(i, y_under) - oracle.component_gradient(i, y_tilde)
+            ) / (q[i] * m) + g_tilde
+            charge(2)
+            y_t = varag_inner_prox(y_t, y_under, grad_est, gamma, mu, region)
+            y_bar = (1.0 - alpha - p) * y_bar + alpha * y_t + p * y_tilde
+            accum += thetas[t - 1] * y_bar
+            weight_sum += thetas[t - 1]
+            steps_done = t
+        if steps_done:
+            y_end = y_t
+            y_tilde = accum / weight_sum
+        profile = "flat" if schedule.flat_weights(s) else "geometric"
+        history.append(s, oracle.value(y_tilde), ledger,
+                       note=f"epoch={s} T={steps_done}/{T} weights={profile}")
+    return y_tilde
+
+
+class TestCdfDraws:
+    @pytest.mark.parametrize("m", [1, 2, 7, 200])
+    def test_searchsorted_reproduces_choice_and_rng_state(self, m):
+        # The identity varag_run relies on, checked against this numpy.
+        lip = seeded_rng(m).uniform(0.1, 5.0, size=m)
+        q = build_schedule(m, float(np.mean(lip)), 0.0, lip).probabilities
+        cdf = q.cumsum()
+        cdf /= cdf[-1]
+        one_by_one, at_once = seeded_rng(5), seeded_rng(5)
+        for T in (1, 3, 64):
+            expected = [int(one_by_one.choice(m, p=q)) for _ in range(T)]
+            assert cdf.searchsorted(at_once.random(T), side="right").tolist() == expected
+        assert one_by_one.bit_generator.state == at_once.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 200])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_varag_run_matches_reference_loop_bitwise(self, m, truncate):
+        built = toy_sum(m=m, dim=4, mu=0.5, L=20.0, seed=m, heterogeneity=0.5 if m > 1 else 0.0)
+        schedule = build_schedule(m, built.oracle.L, built.oracle.mu, built.oracle.lipschitz)
+        budget = None
+        if truncate:
+            # Three whole epochs, then the fourth cut after half its steps.
+            half = max(1, schedule.inner_steps(4) // 2)
+            budget = sum(m + 2 * schedule.inner_steps(s) for s in (1, 2, 3)) + m + 2 * half - 1
+        runs = []
+        for run in (varag_run, reference_varag_run):
+            ledger, history = OracleLedger(), RunHistory(clock=None)
+            anchor = run(built.oracle, built.region, built.region.center, 10 if truncate else 6,
+                         seed=31, ledger=ledger, history=history,
+                         max_component_gradients=budget)
+            runs.append((anchor, ledger.snapshot(), history.records))
+        (anchor, snapshot, records), (ref_anchor, ref_snapshot, ref_records) = runs
+        assert np.array_equal(anchor, ref_anchor)
+        assert snapshot == ref_snapshot
+        assert records == ref_records
+        if truncate and m > 1:
+            assert records[-1].note.startswith(f"epoch=4 T={half}/{schedule.inner_steps(4)}")
+
+    @pytest.mark.parametrize("failing_step", [1, 6])
+    def test_step_that_raises_is_charged_like_the_reference(self, failing_step):
+        # Inner steps reach the ledger once per epoch; a step that raises in
+        # its projection has evaluated its two gradients and is charged.
+        built = toy_sum(m=7, dim=4, mu=0.5, L=20.0, seed=7, heterogeneity=0.5)
+
+        class FailingRegion:
+            def __init__(self, region):
+                self.region, self.calls = region, 0
+
+            def contains(self, point, tol=1e-12):
+                return self.region.contains(point, tol)
+
+            def project(self, point):
+                self.calls += 1
+                if self.calls == failing_step:
+                    raise RuntimeError("projection failed")
+                return self.region.project(point)
+
+        snapshots = []
+        for run in (varag_run, reference_varag_run):
+            ledger = OracleLedger()
+            with pytest.raises(RuntimeError, match="projection failed"):
+                run(built.oracle, FailingRegion(built.region), built.region.center, 6,
+                    seed=31, ledger=ledger, history=RunHistory(clock=None))
+            snapshots.append(ledger.snapshot())
+        assert snapshots[0] == snapshots[1]
