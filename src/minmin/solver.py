@@ -177,9 +177,10 @@ def inner_solve(
     restart-count guarantee with R = D/sqrt(2); the Varag path raises
     InnerStagnationError if a generous epoch cap passes uncertified.
     ``max_grad_y`` bounds the gradient budget (used for end-of-run
-    truncation; the accuracy contract is then waived).  The FGM path charges
-    the ledger once per restart block, with exactly the gradients evaluated,
-    also when the block raises.
+    truncation; the accuracy contract is then waived); without a ``ledger``
+    the spend is counted on a private one, so the budget holds either way.
+    The FGM path charges the ledger once per restart block, with exactly the
+    gradients evaluated, also when the block raises.
     """
     if eps_inner <= 0:
         raise ValueError("eps_inner must be positive")
@@ -191,10 +192,11 @@ def inner_solve(
     region = problem.set_y
     y = np.asarray(y_start, dtype=float).copy() if y_start is not None else region.center.copy()
     mu, L = problem.mu, problem.L
-    start_calls = ledger.grad_y_calls if ledger is not None else 0
+    ledger = ledger if ledger is not None else OracleLedger()
+    start_calls = ledger.grad_y_calls
 
     def spent() -> int:
-        return (ledger.grad_y_calls - start_calls) if ledger is not None else 0
+        return ledger.grad_y_calls - start_calls
 
     if selector == "restarted-fgm":
         cost = problem.components.m if problem.components is not None else 1
@@ -202,8 +204,7 @@ def inner_solve(
 
         def charge() -> None:
             """Charge the gradients evaluated since the last charge."""
-            if ledger is not None:
-                ledger.add_grad_y(cost * oracle.evaluated)
+            ledger.add_grad_y(cost * oracle.evaluated)
             oracle.evaluated = 0
 
         def certificate(point: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dtrtrs
 
 from .core import Box, OracleLedger
@@ -168,10 +169,43 @@ class VaidyaConfig:
             raise ValueError("iteration limits must be positive")
 
 
-# The one barrier-evaluation path has two steps.  ``_factor`` builds the slacks,
-# W, H, its Cholesky factor and 0.5*logdet H; every line-search trial runs it.
-# ``_complete`` turns factored data into a full ``BarrierState`` (leverage
-# scores, gradient, Q) without refactoring, and charges the ledger once.
+# The one barrier-evaluation path has two steps.  ``_factor`` builds W, H, its
+# Cholesky factor and 0.5*logdet H at a point with positive slacks; every
+# line-search trial that is strictly interior runs it.  ``_complete`` turns
+# factored data into a full ``BarrierState`` (leverage scores, gradient, Q)
+# without refactoring, and charges the ledger once.
+#
+# The Cholesky factorization of H and the solve with Q call the LAPACK gufuncs
+# that ``np.linalg.cholesky`` and ``np.linalg.solve`` dispatch to, without
+# those wrappers' per-call checks and ``errstate``: same routine, same input,
+# same bits.  A gufunc signals a LAPACK failure by filling its output with NaN
+# and setting the floating-point invalid flag, so callers run it under
+# ``np.errstate(invalid="ignore")``, and a NaN leading entry re-runs the
+# ``np.linalg`` call, which raises ``LinAlgError`` exactly when it would have.
+_cholesky_lo = _umath_linalg.cholesky_lo
+_solve1 = _umath_linalg.solve1
+
+
+def _cholesky(H: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky(H)``; DegeneratePolytopeError where it raises."""
+    chol = _cholesky_lo(H, signature="d->d")
+    if math.isnan(chol[0, 0]):  # LAPACK failed, or H holds NaN
+        try:
+            chol = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneratePolytopeError("barrier Hessian is singular") from exc
+    return chol
+
+
+def _newton_direction(Q: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(Q, grad)``; DegeneratePolytopeError where it raises."""
+    direction = _solve1(Q, grad, signature="dd->d")
+    if math.isnan(direction[0]):  # LAPACK failed, or the input holds NaN
+        try:
+            direction = np.linalg.solve(Q, grad)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneratePolytopeError("barrier metric Q is singular") from exc
+    return direction
 
 
 class _Factored(NamedTuple):
@@ -183,24 +217,24 @@ class _Factored(NamedTuple):
     value: float
 
 
-def _factor(poly: Polytope, x: np.ndarray) -> _Factored:
-    s = poly.slacks(x)
-    if (s <= 0).any():
-        raise InfeasiblePointError("point is not strictly interior to the polytope")
-    W = poly.A / s[:, None]
+def _interior_slacks(poly: Polytope, x: np.ndarray) -> np.ndarray | None:
+    """Slacks A x - b, or None unless x is strictly interior."""
+    s = poly._A @ x - poly._b
+    return None if (s <= 0).any() else s
+
+
+def _factor(poly: Polytope, x: np.ndarray, s: np.ndarray) -> _Factored:
+    W = poly._A / s[:, None]
     H = W.T @ W
-    try:
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise DegeneratePolytopeError("barrier Hessian is singular") from exc
+    chol = _cholesky(H)
     return _Factored(x, s, W, H, chol, float(np.log(chol.diagonal()).sum()))
 
 
-def _trial(poly: Polytope, x: np.ndarray) -> _Factored | None:
-    """``_factor`` for a line search: None outside the interior or when singular."""
+def _trial(poly: Polytope, x: np.ndarray, s: np.ndarray) -> _Factored | None:
+    """``_factor`` for a line search: None when H is singular."""
     try:
-        return _factor(poly, x)
-    except (InfeasiblePointError, DegeneratePolytopeError):
+        return _factor(poly, x, s)
+    except DegeneratePolytopeError:
         return None
 
 
@@ -241,12 +275,23 @@ def barrier_quantities(poly: Polytope, x, ledger: OracleLedger | None = None) ->
     factorizations of rejected line-search trials are not charged (ROADMAP
     item 2(a)).
     """
-    return _complete(_factor(poly, np.asarray(x, dtype=float)), ledger)
+    x = np.asarray(x, dtype=float)
+    s = _interior_slacks(poly, x)
+    if s is None:
+        raise InfeasiblePointError("point is not strictly interior to the polytope")
+    with np.errstate(invalid="ignore"):
+        factored = _factor(poly, x, s)
+    return _complete(factored, ledger)
 
 
 def volumetric_value(poly: Polytope, x) -> float:
-    """0.5*logdet H(x); +inf outside the interior (handy for line searches)."""
-    factored = _trial(poly, x)
+    """0.5*logdet H(x); +inf outside the interior or where H is singular."""
+    x = np.asarray(x, dtype=float)
+    s = _interior_slacks(poly, x)
+    if s is None:
+        return math.inf
+    with np.errstate(invalid="ignore"):
+        factored = _trial(poly, x, s)
     return math.inf if factored is None else factored.value
 
 
@@ -275,46 +320,52 @@ def _recenter(
     x_start,
     config: VaidyaConfig,
     ledger: OracleLedger | None,
-) -> tuple[np.ndarray, BarrierState, int]:
-    """Damped Newton descent on the volumetric barrier; returns final state."""
+) -> tuple[np.ndarray, BarrierState, int, int]:
+    """Damped Newton descent on the volumetric barrier.
+
+    Returns the final point and state, the Newton iterates (one ledger charge
+    each) and the Cholesky factorizations of H: the start state's and one per
+    strictly interior line-search trial.
+    """
     x = np.asarray(x_start, dtype=float).copy()
     state = barrier_quantities(poly, x, ledger)
-    solves = 1
-    for _ in range(config.max_newton_steps):
-        try:
-            direction = np.linalg.solve(state.Q, state.grad)
-        except np.linalg.LinAlgError as exc:
-            raise DegeneratePolytopeError("barrier metric Q is singular") from exc
-        squared = max(float(state.grad @ direction), 0.0)
-        decrement = math.sqrt(squared)
-        if decrement <= config.newton_tolerance:
-            break
-        t = 1.0
-        accepted = None
-        for _ in range(60):
-            trial = _trial(poly, x - t * direction)
-            if trial is not None and trial.value <= state.value - 0.25 * t * squared:
-                accepted = trial
+    solves = factorizations = 1
+    with np.errstate(invalid="ignore"):
+        for _ in range(config.max_newton_steps):
+            direction = _newton_direction(state.Q, state.grad)
+            squared = max(float(state.grad @ direction), 0.0)
+            decrement = math.sqrt(squared)
+            if decrement <= config.newton_tolerance:
                 break
-            t *= 0.5
-        if accepted is None:
-            if decrement <= _STAGNATION_DECREMENT:
+            t = 1.0
+            accepted = None
+            for _ in range(60):
+                point = x - t * direction
+                s = _interior_slacks(poly, point)
+                if s is not None:
+                    factorizations += 1
+                    trial = _trial(poly, point, s)
+                    if trial is not None and trial.value <= state.value - 0.25 * t * squared:
+                        accepted = trial
+                        break
+                t *= 0.5
+            if accepted is None:
+                if decrement <= _STAGNATION_DECREMENT:
+                    break
+                raise NewtonStagnationError(x)
+            x = accepted.x
+            previous_value = state.value
+            state = _complete(accepted, ledger)  # reuses the accepted trial's factor
+            solves += 1
+            # Per-step progress at the rounding floor: further steps only churn.
+            if previous_value - state.value <= 1e-13 * (1.0 + abs(state.value)):
                 break
-            raise NewtonStagnationError(x)
-        x = accepted.x
-        previous_value = state.value
-        state = _complete(accepted, ledger)  # reuses the accepted trial's factor
-        solves += 1
-        # Per-step progress at the rounding floor: further steps only churn.
-        if previous_value - state.value <= 1e-13 * (1.0 + abs(state.value)):
-            break
-    return x, state, solves
+    return x, state, solves, factorizations
 
 
 def newton_recenter(poly: Polytope, x_start, config: VaidyaConfig, ledger: OracleLedger | None = None) -> np.ndarray:
     """Move an interior ``x_start`` to the volumetric center of ``poly``."""
-    x, _, _ = _recenter(poly, x_start, config, ledger)
-    return x
+    return _recenter(poly, x_start, config, ledger)[0]
 
 
 @dataclass(frozen=True)
@@ -329,7 +380,8 @@ class VaidyaIteration:
     best_value: float
     x: np.ndarray
     min_slack: float
-    barrier_solves: int
+    barrier_solves: int  # Newton iterates of the recentering, each charged once
+    factorizations: int  # Cholesky factorizations of H in the recentering
     oracle_value: float | None = None
     feasible_query: bool | None = None
 
@@ -388,7 +440,7 @@ def vaidya_minimize(
         if stop_condition is not None and stop_condition():
             stop_reason = "stop_condition"
             break
-        x, state, solves = _recenter(poly, x, config, ledger)
+        x, state, solves, factorizations = _recenter(poly, x, config, ledger)
         min_index = int(np.argmin(state.sigma))  # lowest index wins ties
         record = dict(
             k=k,
@@ -398,6 +450,7 @@ def vaidya_minimize(
             x=x.copy(),
             min_slack=float(np.min(state.slacks)),
             barrier_solves=solves,
+            factorizations=factorizations,
         )
         if state.sigma[min_index] < config.gamma:
             poly.drop_row(min_index)

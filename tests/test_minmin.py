@@ -1,5 +1,6 @@
 """Tests for the two-level min-min driver and its accuracy certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,9 @@ from minmin import (
     delta_subgradient,
     eps_floor,
     inner_solve,
+    make_logreg_minmin,
     make_quadratic_minmin,
+    make_synthetic_classification,
     seeded_rng,
     solve_minmin,
     strong_convexity_gap_bound,
@@ -235,6 +238,49 @@ class TestInnerSolve:
         ledger = OracleLedger()
         inner_solve(finite, x, 1e-12, selector="varag", ledger=ledger, max_grad_y=50)
         assert ledger.grad_y_calls <= 50 + 4 + 1
+
+    @staticmethod
+    def _logreg_counting_gradients(components: bool):
+        """60x20 synthetic logistic problem (d=3); grad_y calls are counted."""
+        problem = make_logreg_minmin(make_synthetic_classification(60, 20, seed=0), 3, 0.005)
+        calls = [0]
+        grad_y = problem.grad_y
+
+        def counting(x, y):
+            calls[0] += 1
+            return grad_y(x, y)
+
+        problem = dataclasses.replace(
+            problem, grad_y=counting, components=problem.components if components else None
+        )
+        return problem, calls
+
+    def test_fgm_budget_holds_without_ledger(self):
+        # Without a ledger the spend used to read 0, so later restart blocks
+        # ran past max_grad_y (411 gradients against 247 with a ledger).
+        results = []
+        for ledger in (OracleLedger(), None):
+            problem, calls = self._logreg_counting_gradients(components=False)
+            y, value = inner_solve(problem, np.zeros(3), 1e-12, ledger=ledger, max_grad_y=300)
+            results.append((y, value, calls[0]))
+            if ledger is not None:
+                assert ledger.grad_y_calls == calls[0] == 247
+        (y_ref, value_ref, calls_ref), (y, value, calls) = results
+        assert calls == calls_ref
+        assert np.array_equal(y, y_ref)
+        assert repr(value) == repr(value_ref)
+
+    def test_varag_budget_holds_without_ledger(self):
+        # Without a ledger the budget never counted as hit, so the run went on
+        # to the epoch cap and raised InnerStagnationError.
+        problem, _ = self._logreg_counting_gradients(components=True)
+        ledger = OracleLedger()
+        y_ref, value_ref = inner_solve(problem, np.zeros(3), 1e-12, selector="varag",
+                                       ledger=ledger, max_grad_y=500)
+        assert ledger.grad_y_calls == 546
+        y, value = inner_solve(problem, np.zeros(3), 1e-12, selector="varag", max_grad_y=500)
+        assert np.array_equal(y, y_ref)
+        assert repr(value) == repr(value_ref)
 
     def test_zero_budget_is_a_no_op_for_varag(self):
         problem, _, _ = coupled_quadratic(num_components=4)

@@ -1,7 +1,10 @@
 """Tests for the volumetric-barrier cutting-plane machinery."""
 
+import dataclasses
 import io
 import math
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -236,63 +239,128 @@ class TestNewtonRecenter:
         assert "stagnated" in str(err)
 
 
-def _reference_recenter(poly, x_start, config, ledger):
-    """Recentering as it was before the line search's factor was reused.
-
-    Every trial goes through ``volumetric_value``, and the accepted point is
-    rebuilt from scratch by ``barrier_quantities``.
+def _reference_factor(poly, x, calls):
+    """The factoring step as it was before the LAPACK gufuncs were called
+    directly: slacks through ``Polytope.slacks`` and the factor through the
+    public ``np.linalg.cholesky``.  ``calls[0]`` counts the factorizations.
     """
+    s = poly.slacks(x)
+    if (s <= 0).any():
+        raise InfeasiblePointError("point is not strictly interior to the polytope")
+    W = poly.A / s[:, None]
+    H = W.T @ W
+    calls[0] += 1
+    try:
+        chol = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as exc:
+        raise DegeneratePolytopeError("barrier Hessian is singular") from exc
+    return x, s, W, H, chol, float(np.log(chol.diagonal()).sum())
+
+
+def _reference_state(factored, ledger):
+    """Leverage scores, gradient and Q of a factored point, one ledger charge."""
+    x, s, W, H, chol, value = factored
+    if ledger is not None:
+        ledger.add_inversion()
+    V = solve_triangular(chol, W.T, lower=True, check_finite=False)
+    sigma = np.einsum("ij,ij->j", V, V)
+    grad = -(W.T @ sigma)
+    Q = (W * sigma[:, None]).T @ W
+    return vaidya_module.BarrierState(
+        x=x.copy(), slacks=s, H=H, chol=chol, sigma=sigma, grad=grad, Q=Q, value=value
+    )
+
+
+def _reference_barrier_quantities(poly, x, ledger=None):
+    return _reference_state(_reference_factor(poly, np.asarray(x, dtype=float), [0]), ledger)
+
+
+def _reference_recenter(poly, x_start, config, ledger):
+    """Recentering as it was before the accepted trial's factor was reused and
+    before the LAPACK gufuncs were called directly.
+
+    Every Cholesky factorization goes through ``np.linalg.cholesky`` and every
+    Newton direction through ``np.linalg.solve``; nothing in it calls the
+    module's barrier code.  Each accepted point is rebuilt from scratch.
+    Returns ``(x, state, solves, factorizations)`` like ``_recenter``, where
+    the rebuilds, which ``_recenter`` does not make, are not counted.
+    """
+    calls = [0]
     x = np.asarray(x_start, dtype=float).copy()
-    state = barrier_quantities(poly, x, ledger)
+    state = _reference_state(_reference_factor(poly, x, calls), ledger)
     solves = 1
     for _ in range(config.max_newton_steps):
-        direction = np.linalg.solve(state.Q, state.grad)
+        try:
+            direction = np.linalg.solve(state.Q, state.grad)
+        except np.linalg.LinAlgError as exc:
+            raise DegeneratePolytopeError("barrier metric Q is singular") from exc
         squared = max(float(state.grad @ direction), 0.0)
         decrement = math.sqrt(squared)
         if decrement <= config.newton_tolerance:
             break
         t = 1.0
-        candidate = None
+        accepted = None
         for _ in range(60):
-            trial = x - t * direction
-            if volumetric_value(poly, trial) <= state.value - 0.25 * t * squared:
-                candidate = trial
+            try:
+                trial = _reference_factor(poly, x - t * direction, calls)
+            except (InfeasiblePointError, DegeneratePolytopeError):
+                trial = None
+            if trial is not None and trial[-1] <= state.value - 0.25 * t * squared:
+                accepted = trial
                 break
             t *= 0.5
-        if candidate is None:
+        if accepted is None:
             if decrement <= vaidya_module._STAGNATION_DECREMENT:
                 break
             raise NewtonStagnationError(x)
-        x = candidate
+        x = accepted[0]
         previous_value = state.value
-        state = barrier_quantities(poly, x, ledger)
+        state = _reference_state(_reference_factor(poly, x, [0]), ledger)
         solves += 1
         if previous_value - state.value <= 1e-13 * (1.0 + abs(state.value)):
             break
-    return x, state, solves
+    return x, state, solves, calls[0]
 
 
 def _bowl_oracle(target):
     return lambda x: (float((x - target) @ (x - target)), 2.0 * (x - target))
 
 
-class TestFactorReuse:
-    """Reusing the accepted trial's factor changes no iterate and no count."""
+def _interior_start(rng, dim):
+    direction = rng.normal(size=dim)
+    return 0.25 * direction / max(1.0, float(np.linalg.norm(direction)))
 
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+
+def _assert_states_equal(state, reference):
+    for name in ("x", "slacks", "H", "chol", "sigma", "grad", "Q"):
+        assert np.array_equal(getattr(state, name), getattr(reference, name), equal_nan=True), name
+    assert repr(state.value) == repr(reference.value)
+
+
+class TestFactorReuse:
+    """The gufunc path, with the accepted trial's factor reused, changes no
+    iterate and no count against the ``np.linalg`` reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_recenter_iterates_match_reference_bitwise(self, dim):
         rng = seeded_rng(100 + dim)
         for _ in range(10):
             poly = random_polytope(rng, dim, extra_rows=int(rng.integers(0, 3 * dim)))
-            direction = rng.normal(size=dim)
-            start = 0.25 * direction / max(1.0, float(np.linalg.norm(direction)))
+            start = _interior_start(rng, dim)
             ref_ledger, ledger = OracleLedger(), OracleLedger()
-            x_ref, _, _ = _reference_recenter(poly, start, VaidyaConfig(), ref_ledger)
-            x = newton_recenter(poly, start, VaidyaConfig(), ledger)
+            x_ref, ref_state, ref_solves, ref_factorizations = _reference_recenter(
+                poly, start, VaidyaConfig(), ref_ledger
+            )
+            x, state, solves, factorizations = vaidya_module._recenter(
+                poly, start, VaidyaConfig(), ledger
+            )
             assert np.array_equal(x, x_ref)
+            assert np.array_equal(newton_recenter(poly, start, VaidyaConfig()), x_ref)
+            _assert_states_equal(state, ref_state)
+            assert (solves, factorizations) == (ref_solves, ref_factorizations)
             assert ledger.matrix_inversions == ref_ledger.matrix_inversions
 
-    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_minimize_counts_match_reference(self, dim, monkeypatch):
         target = seeded_rng(200 + dim).uniform(-0.8, 0.8, size=dim)
         region = Box(-np.ones(dim), np.ones(dim))
@@ -302,13 +370,130 @@ class TestFactorReuse:
         monkeypatch.setattr(vaidya_module, "_recenter", _reference_recenter)
         ref_ledger = OracleLedger()
         reference = vaidya_minimize(_bowl_oracle(target), dim, region, config, ref_ledger)
-        assert ledger.matrix_inversions == ref_ledger.matrix_inversions
+        assert ledger.snapshot() == ref_ledger.snapshot()
         assert len(result.iterations) == len(reference.iterations)
         for it, ref in zip(result.iterations, reference.iterations):
             assert it.barrier_solves == ref.barrier_solves
+            assert it.factorizations == ref.factorizations
             assert it.action == ref.action
+            assert repr(it.min_sigma) == repr(ref.min_sigma)
             assert np.array_equal(it.x, ref.x)
         assert repr(result.best_value) == repr(reference.best_value)
+
+
+class TestFactorizationCount:
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_iteration_counts_every_cholesky_of_h(self, dim, monkeypatch):
+        # VaidyaIteration.factorizations is the start state's factorization
+        # plus one per strictly interior line-search trial: every call of the
+        # module's Cholesky gufunc, of which barrier_solves are accepted.
+        calls = [0]
+        cholesky_lo = vaidya_module._cholesky_lo
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return cholesky_lo(*args, **kwargs)
+
+        monkeypatch.setattr(vaidya_module, "_cholesky_lo", counting)
+        target = seeded_rng(250 + dim).uniform(-0.8, 0.8, size=dim)
+        result = vaidya_minimize(
+            _bowl_oracle(target), dim, Box(-np.ones(dim), np.ones(dim)),
+            VaidyaConfig(max_iterations=80),
+        )
+        assert sum(it.factorizations for it in result.iterations) == calls[0]
+        assert all(it.factorizations >= it.barrier_solves for it in result.iterations)
+        # The full step is mostly rejected, so trials outnumber Newton iterates.
+        assert calls[0] > sum(it.barrier_solves for it in result.iterations)
+
+
+def _random_spd(rng, dim):
+    poly = random_polytope(rng, dim, extra_rows=int(rng.integers(0, 3 * dim)))
+    s = poly.slacks(_interior_start(rng, dim))
+    W = poly.A / s[:, None]
+    return W.T @ W
+
+
+class TestLapackGufuncs:
+    """The gufuncs behind ``np.linalg`` give its bits and its errors."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_gufuncs_equal_linalg_bitwise(self, dim):
+        rng = seeded_rng(400 + dim)
+        for _ in range(20):
+            M = rng.normal(size=(dim, dim))
+            for H in (_random_spd(rng, dim), M @ M.T + dim * np.eye(dim)):
+                chol = vaidya_module._cholesky(H)
+                expected = np.linalg.cholesky(H)
+                assert np.array_equal(chol, expected)
+                assert chol.flags.c_contiguous == expected.flags.c_contiguous
+                assert chol.flags.f_contiguous == expected.flags.f_contiguous
+                rhs = rng.normal(size=dim)
+                assert np.array_equal(
+                    vaidya_module._newton_direction(H, rhs), np.linalg.solve(H, rhs)
+                )
+
+
+@contextmanager
+def _no_runtime_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+class TestFailureSemantics:
+    """Where ``np.linalg`` raises, the gufunc path raises the same error, and
+    no path emits a RuntimeWarning."""
+
+    def test_rank_deficient_polytope(self):
+        # All rows parallel to e1: H has rank one in 2-d.
+        poly = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]), np.array([-1.0, -1.0, -2.0]))
+        with _no_runtime_warning():
+            with pytest.raises(DegeneratePolytopeError) as excinfo:
+                barrier_quantities(poly, np.zeros(2))
+            assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+            assert volumetric_value(poly, np.zeros(2)) == math.inf
+            with pytest.raises(DegeneratePolytopeError):
+                newton_recenter(poly, np.zeros(2), VaidyaConfig())
+
+    def test_indefinite_and_singular_matrices(self):
+        # The helpers run under the callers' errstate, as in the module.
+        with _no_runtime_warning(), np.errstate(invalid="ignore"):
+            with pytest.raises(DegeneratePolytopeError):
+                vaidya_module._cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            with pytest.raises(DegeneratePolytopeError):
+                vaidya_module._newton_direction(np.zeros((3, 3)), np.ones(3))
+
+    def test_singular_q_raises(self, monkeypatch):
+        # Q is singular only when H is, which barrier_quantities rejects
+        # first; hand the Newton loop a singular Q directly.
+        compute = vaidya_module.barrier_quantities
+
+        def singular_q(poly, x, ledger=None):
+            state = compute(poly, x, ledger)
+            return dataclasses.replace(state, Q=np.zeros_like(state.Q))
+
+        monkeypatch.setattr(vaidya_module, "barrier_quantities", singular_q)
+        poly = Polytope.from_box(Box(-np.ones(2), np.ones(2)))
+        with _no_runtime_warning():
+            with pytest.raises(DegeneratePolytopeError) as excinfo:
+                newton_recenter(poly, np.array([0.3, -0.1]), VaidyaConfig())
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    def test_nan_point_matches_linalg_path(self):
+        # OpenBLAS's potrf does not flag NaN, so np.linalg.cholesky returns a
+        # NaN factor without raising; the gufunc path must do the same.
+        poly = random_polytope(seeded_rng(31), 3, extra_rows=4)
+        x = np.array([np.nan, 0.1, -0.2])
+        with _no_runtime_warning():
+            state = barrier_quantities(poly, x)
+            _assert_states_equal(state, _reference_barrier_quantities(poly, x))
+            assert np.isnan(state.chol[0, 0])
+            assert math.isnan(volumetric_value(poly, x))
+            with pytest.raises(NewtonStagnationError):
+                newton_recenter(poly, x, VaidyaConfig())
+            with pytest.raises(NewtonStagnationError):
+                _reference_recenter(poly, x, VaidyaConfig(), None)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
@@ -319,9 +504,9 @@ def test_every_recorded_center_is_within_stagnation_decrement(dim, monkeypatch):
     recenter = vaidya_module._recenter
 
     def recording(poly, x_start, config, ledger):
-        x, state, solves = recenter(poly, x_start, config, ledger)
-        states.append(state)
-        return x, state, solves
+        out = recenter(poly, x_start, config, ledger)
+        states.append(out[1])
+        return out
 
     monkeypatch.setattr(vaidya_module, "_recenter", recording)
     target = seeded_rng(300 + dim).uniform(-0.8, 0.8, size=dim)
