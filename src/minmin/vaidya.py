@@ -128,6 +128,11 @@ class BarrierState:
     """Volumetric-barrier quantities at an interior point.
 
     ``chol`` is the lower Cholesky factor of H; ``value`` is 0.5*logdet H.
+    ``Q = W^T diag(sigma) W`` (rows of W are a_i / s_i) is Anstreicher's
+    (1997) lower bound on the barrier Hessian; ``hessian`` is the exact
+    Hessian of V, which satisfies ``Q <= hessian <= 3 Q``.  Recentering
+    solves its Newton directions with ``hessian`` and measures its decrement
+    in that norm.
     """
 
     x: np.ndarray
@@ -137,6 +142,7 @@ class BarrierState:
     sigma: np.ndarray
     grad: np.ndarray
     Q: np.ndarray
+    hessian: np.ndarray
     value: float
 
     @property
@@ -155,6 +161,12 @@ class BarrierState:
 
 @dataclass(frozen=True)
 class VaidyaConfig:
+    """``newton_tolerance`` bounds the Newton decrement sqrt(g^T M^{-1} g) at
+    which recentering stops, with M the barrier Hessian.  About half of the
+    recenterings stop on it; the rest stop on the rounding-floor break, when
+    a step's barrier decrease falls to the float64 resolution of logdet.
+    """
+
     gamma: float = 0.006
     newton_tolerance: float = 1e-8
     max_newton_steps: int = 80
@@ -172,10 +184,10 @@ class VaidyaConfig:
 # The one barrier-evaluation path has two steps.  ``_factor`` builds W, H, its
 # Cholesky factor and 0.5*logdet H at a point with positive slacks; every
 # line-search trial that is strictly interior runs it.  ``_complete`` turns
-# factored data into a full ``BarrierState`` (leverage scores, gradient, Q)
-# without refactoring, and charges the ledger once.
+# factored data into a full ``BarrierState`` (leverage scores, gradient, Q,
+# Hessian) without refactoring, and charges the ledger once.
 #
-# The Cholesky factorization of H and the solve with Q call the LAPACK gufuncs
+# The Cholesky factorization of H and the Newton solve call the LAPACK gufuncs
 # that ``np.linalg.cholesky`` and ``np.linalg.solve`` dispatch to, without
 # those wrappers' per-call checks and ``errstate``: same routine, same input,
 # same bits.  A gufunc signals a LAPACK failure by filling its output with NaN
@@ -197,14 +209,14 @@ def _cholesky(H: np.ndarray) -> np.ndarray:
     return chol
 
 
-def _newton_direction(Q: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(Q, grad)``; DegeneratePolytopeError where it raises."""
-    direction = _solve1(Q, grad, signature="dd->d")
+def _newton_direction(M: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(M, grad)``; DegeneratePolytopeError where it raises."""
+    direction = _solve1(M, grad, signature="dd->d")
     if math.isnan(direction[0]):  # LAPACK failed, or the input holds NaN
         try:
-            direction = np.linalg.solve(Q, grad)
+            direction = np.linalg.solve(M, grad)
         except np.linalg.LinAlgError as exc:
-            raise DegeneratePolytopeError("barrier metric Q is singular") from exc
+            raise DegeneratePolytopeError("Newton matrix is singular") from exc
     return direction
 
 
@@ -258,22 +270,32 @@ def _complete(factored: _Factored, ledger: OracleLedger | None) -> BarrierState:
     x, s, W, H, chol, value = factored
     if ledger is not None:
         ledger.add_inversion()
-    V = _solve_lower(chol, W.T)  # columns L^{-1} a_i / s_i
+    V = _solve_lower(chol, W.T)  # columns v_i = L^{-1} a_i / s_i
     sigma = np.einsum("ij,ij->j", V, V)
     grad = -(W.T @ sigma)
     Q = (W * sigma[:, None]).T @ W
-    return BarrierState(x=x.copy(), slacks=s, H=H, chol=chol, sigma=sigma, grad=grad, Q=Q, value=value)
+    # The Hessian of V is W^T (3 diag(sigma) - 2 P∘P) W with P = W H^{-1} W^T.
+    # P_ij = v_i.v_j, so (P∘P)_ij = vec(v_i v_i^T).vec(v_j v_j^T) and
+    # W^T (P∘P) W = K^T K with K = Z W, column i of Z being vec(v_i v_i^T):
+    # O(m d^3) work, without the m x m matrix P.
+    d, m = V.shape
+    K = (V[:, None, :] * V[None, :, :]).reshape(d * d, m) @ W
+    hessian = 3.0 * Q - 2.0 * (K.T @ K)
+    return BarrierState(
+        x=x.copy(), slacks=s, H=H, chol=chol, sigma=sigma, grad=grad, Q=Q, hessian=hessian, value=value
+    )
 
 
 def barrier_quantities(poly: Polytope, x, ledger: OracleLedger | None = None) -> BarrierState:
-    """Slacks, H, leverage scores, volumetric gradient and Q at interior x.
+    """Slacks, H, leverage scores, volumetric gradient, Q and the barrier
+    Hessian at interior x.
 
     Performs one Cholesky factorization of H and charges it to the ledger as
-    one ``matrix_inversions``; the leverage scores come from triangular solves
-    against that factor.  Recentering charges one such factorization per
-    Newton iterate.  The solve with Q for each Newton direction and the
-    factorizations of rejected line-search trials are not charged (ROADMAP
-    item 2(a)).
+    one ``matrix_inversions``; the leverage scores and the Hessian come from
+    triangular solves against that factor.  Recentering charges one such
+    factorization per Newton iterate.  The solve with the Hessian for each
+    Newton direction and the factorizations of rejected line-search trials
+    are not charged (ROADMAP item 2(a)).
     """
     x = np.asarray(x, dtype=float)
     s = _interior_slacks(poly, x)
@@ -321,7 +343,14 @@ def _recenter(
     config: VaidyaConfig,
     ledger: OracleLedger | None,
 ) -> tuple[np.ndarray, BarrierState, int, int]:
-    """Damped Newton descent on the volumetric barrier.
+    """Damped Newton descent on the volumetric barrier with its exact Hessian.
+
+    The direction solves ``hessian @ d = grad``, and the decrement
+    sqrt(grad @ d) is measured in the Hessian's norm.  The full step is
+    tried first and halved until the Armijo test passes; most recenterings
+    end within three iterates, about half on ``newton_tolerance`` and the rest
+    on the rounding-floor break.  A Newton matrix that is not positive
+    definite raises DegeneratePolytopeError.
 
     Returns the final point and state, the Newton iterates (one ledger charge
     each) and the Cholesky factorizations of H: the start state's and one per
@@ -332,8 +361,10 @@ def _recenter(
     solves = factorizations = 1
     with np.errstate(invalid="ignore"):
         for _ in range(config.max_newton_steps):
-            direction = _newton_direction(state.Q, state.grad)
-            squared = max(float(state.grad @ direction), 0.0)
+            direction = _newton_direction(state.hessian, state.grad)
+            squared = float(state.grad @ direction)
+            if squared < 0.0:  # g^T M^{-1} g < 0: M is not positive definite
+                raise DegeneratePolytopeError("Newton matrix is not positive definite")
             decrement = math.sqrt(squared)
             if decrement <= config.newton_tolerance:
                 break

@@ -498,6 +498,29 @@ def test_nested_solver_reaches_target_and_scales_with_condition_number():
     assert elapsed < 60.0
 
 
+def test_end_to_end_recentering_factorizations_per_iteration():
+    # Exact-Hessian Newton recentering takes O(1) steps per add or drop: at
+    # most 4 Cholesky factorizations of H per outer iteration over the nested
+    # solves, with the outer calls and the grad_y sweep left as they were.
+    data = _end_to_end()
+    iterations = [it for run in data["runs"] for it in run["result"].vaidya.iterations]
+    per_iteration = sum(it.factorizations for it in iterations) / len(iterations)
+    calls = [run["result"].oracle_calls for run in data["runs"]]
+    sweep = {int(kappa): grads for kappa, grads in data["sweep"].items()}
+    expected_calls = [401, 495, 495, 495]
+    expected_sweep = {10: 32541, 100: 113081, 1000: 353391}
+
+    ok = per_iteration <= 4.0 and calls == expected_calls and sweep == expected_sweep
+    _scorecard(
+        "recentering work", ok,
+        f"{per_iteration:.2f} factorizations per outer iteration <= 4 over "
+        f"{len(iterations)} iterations; outer calls {calls}; grad_y sweep {sweep}",
+    )
+    assert per_iteration <= 4.0, f"{per_iteration:.2f} factorizations per iteration"
+    assert calls == expected_calls
+    assert sweep == expected_sweep
+
+
 # ----------------------------------------------------------------------------
 # Desk-scale experiment
 # ----------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh, solve_triangular
 
 from minmin import vaidya as vaidya_module
 from minmin import (
@@ -258,7 +258,8 @@ def _reference_factor(poly, x, calls):
 
 
 def _reference_state(factored, ledger):
-    """Leverage scores, gradient and Q of a factored point, one ledger charge."""
+    """Leverage scores, gradient, Q and the barrier Hessian of a factored
+    point, one ledger charge."""
     x, s, W, H, chol, value = factored
     if ledger is not None:
         ledger.add_inversion()
@@ -266,8 +267,12 @@ def _reference_state(factored, ledger):
     sigma = np.einsum("ij,ij->j", V, V)
     grad = -(W.T @ sigma)
     Q = (W * sigma[:, None]).T @ W
+    # W^T (P∘P) W = K^T K, row (a, b) of K being sum_i V[a, i] V[b, i] W[i]
+    K = np.einsum("ai,bi->abi", V, V).reshape(-1, len(s)) @ W
+    hessian = 3.0 * Q - 2.0 * (K.T @ K)
     return vaidya_module.BarrierState(
-        x=x.copy(), slacks=s, H=H, chol=chol, sigma=sigma, grad=grad, Q=Q, value=value
+        x=x.copy(), slacks=s, H=H, chol=chol, sigma=sigma, grad=grad, Q=Q,
+        hessian=hessian, value=value,
     )
 
 
@@ -276,12 +281,13 @@ def _reference_barrier_quantities(poly, x, ledger=None):
 
 
 def _reference_recenter(poly, x_start, config, ledger):
-    """Recentering as it was before the accepted trial's factor was reused and
-    before the LAPACK gufuncs were called directly.
+    """Exact-Hessian recentering as it would read without the accepted trial's
+    factor reused and without the LAPACK gufuncs called directly.
 
     Every Cholesky factorization goes through ``np.linalg.cholesky`` and every
-    Newton direction through ``np.linalg.solve``; nothing in it calls the
-    module's barrier code.  Each accepted point is rebuilt from scratch.
+    Newton direction through ``np.linalg.solve`` with the barrier Hessian;
+    nothing in it calls the module's barrier code.  Each accepted point is
+    rebuilt from scratch.
     Returns ``(x, state, solves, factorizations)`` like ``_recenter``, where
     the rebuilds, which ``_recenter`` does not make, are not counted.
     """
@@ -291,10 +297,12 @@ def _reference_recenter(poly, x_start, config, ledger):
     solves = 1
     for _ in range(config.max_newton_steps):
         try:
-            direction = np.linalg.solve(state.Q, state.grad)
+            direction = np.linalg.solve(state.hessian, state.grad)
         except np.linalg.LinAlgError as exc:
-            raise DegeneratePolytopeError("barrier metric Q is singular") from exc
-        squared = max(float(state.grad @ direction), 0.0)
+            raise DegeneratePolytopeError("Newton matrix is singular") from exc
+        squared = float(state.grad @ direction)
+        if squared < 0.0:
+            raise DegeneratePolytopeError("Newton matrix is not positive definite")
         decrement = math.sqrt(squared)
         if decrement <= config.newton_tolerance:
             break
@@ -332,14 +340,43 @@ def _interior_start(rng, dim):
 
 
 def _assert_states_equal(state, reference):
-    for name in ("x", "slacks", "H", "chol", "sigma", "grad", "Q"):
+    for name in ("x", "slacks", "H", "chol", "sigma", "grad", "Q", "hessian"):
         assert np.array_equal(getattr(state, name), getattr(reference, name), equal_nan=True), name
     assert repr(state.value) == repr(reference.value)
 
 
+class TestBarrierHessian:
+    """``BarrierState.hessian`` is the Hessian of V = 0.5*logdet H."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
+    def test_hessian_matches_differences_formula_and_bounds(self, dim):
+        rng = seeded_rng(500 + dim)
+        h = 1e-6
+        for _ in range(10):
+            poly = random_polytope(rng, dim, extra_rows=int(rng.integers(0, 3 * dim)))
+            x = _interior_start(rng, dim)
+            state = barrier_quantities(poly, x)
+            scale = np.linalg.norm(state.hessian)
+            # central differences of the gradient
+            differences = np.column_stack([
+                (barrier_quantities(poly, x + h * e).grad - barrier_quantities(poly, x - h * e).grad) / (2 * h)
+                for e in np.eye(dim)
+            ])
+            assert np.linalg.norm(state.hessian - differences) <= 1e-7 * scale
+            # the explicit W^T (3 Sigma - 2 P∘P) W with the m x m matrix P
+            W = poly.A / state.slacks[:, None]
+            P = W @ np.linalg.inv(state.H) @ W.T
+            explicit = W.T @ (3.0 * np.diag(np.diag(P)) - 2.0 * P * P) @ W
+            assert np.linalg.norm(state.hessian - explicit) <= 1e-12 * scale
+            # Anstreicher (1997): Q <= hessian <= 3 Q
+            ratios = eigh(state.hessian, state.Q, eigvals_only=True)
+            assert 1.0 - 1e-10 <= ratios.min() and ratios.max() <= 3.0 + 1e-10, ratios
+
+
 class TestFactorReuse:
     """The gufunc path, with the accepted trial's factor reused, changes no
-    iterate and no count against the ``np.linalg`` reference."""
+    iterate and no count against the ``np.linalg`` reference of the
+    exact-Hessian Newton loop."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8])
     def test_recenter_iterates_match_reference_bitwise(self, dim):
@@ -402,7 +439,8 @@ class TestFactorizationCount:
         )
         assert sum(it.factorizations for it in result.iterations) == calls[0]
         assert all(it.factorizations >= it.barrier_solves for it in result.iterations)
-        # The full step is mostly rejected, so trials outnumber Newton iterates.
+        # Near the center some trials fail the Armijo test at the rounding
+        # floor of logdet, so trials outnumber Newton iterates.
         assert calls[0] > sum(it.barrier_solves for it in result.iterations)
 
 
@@ -464,21 +502,39 @@ class TestFailureSemantics:
             with pytest.raises(DegeneratePolytopeError):
                 vaidya_module._newton_direction(np.zeros((3, 3)), np.ones(3))
 
-    def test_singular_q_raises(self, monkeypatch):
-        # Q is singular only when H is, which barrier_quantities rejects
-        # first; hand the Newton loop a singular Q directly.
+    def test_singular_newton_matrix_raises(self, monkeypatch):
+        # The barrier Hessian is singular only when H is, which
+        # barrier_quantities rejects first; hand the Newton loop a singular
+        # Newton matrix directly.
         compute = vaidya_module.barrier_quantities
 
-        def singular_q(poly, x, ledger=None):
+        def singular(poly, x, ledger=None):
             state = compute(poly, x, ledger)
-            return dataclasses.replace(state, Q=np.zeros_like(state.Q))
+            return dataclasses.replace(state, hessian=np.zeros_like(state.hessian))
 
-        monkeypatch.setattr(vaidya_module, "barrier_quantities", singular_q)
+        monkeypatch.setattr(vaidya_module, "barrier_quantities", singular)
         poly = Polytope.from_box(Box(-np.ones(2), np.ones(2)))
         with _no_runtime_warning():
             with pytest.raises(DegeneratePolytopeError) as excinfo:
                 newton_recenter(poly, np.array([0.3, -0.1]), VaidyaConfig())
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+    def test_indefinite_newton_matrix_raises(self, monkeypatch):
+        # An indefinite Newton matrix M with g^T M^{-1} g < 0 must not read as
+        # "centered": M = 2 u u^T - I with u orthogonal to g gives
+        # M^{-1} g = -g.
+        compute = vaidya_module.barrier_quantities
+
+        def indefinite(poly, x, ledger=None):
+            state = compute(poly, x, ledger)
+            u = np.array([-state.grad[1], state.grad[0]]) / np.linalg.norm(state.grad)
+            return dataclasses.replace(state, hessian=2.0 * np.outer(u, u) - np.eye(2))
+
+        monkeypatch.setattr(vaidya_module, "barrier_quantities", indefinite)
+        poly = Polytope.from_box(Box(-np.ones(2), np.ones(2)))
+        with _no_runtime_warning():
+            with pytest.raises(DegeneratePolytopeError, match="not positive definite"):
+                newton_recenter(poly, np.array([0.3, -0.1]), VaidyaConfig())
 
     def test_nan_point_matches_linalg_path(self):
         # OpenBLAS's potrf does not flag NaN, so np.linalg.cholesky returns a
@@ -498,8 +554,9 @@ class TestFailureSemantics:
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_every_recorded_center_is_within_stagnation_decrement(dim, monkeypatch):
-    # Centrality: the Newton decrement sqrt(g^T Q^{-1} g) at each center the
-    # outer loop records is at most the stagnation threshold.
+    # Centrality: the decrement sqrt(g^T Q^{-1} g) at each center the outer
+    # loop records is at most the stagnation threshold, and at most 1e-6.
+    # Q <= hessian, so this bounds the Hessian-norm decrement too.
     states = []
     recenter = vaidya_module._recenter
 
@@ -518,6 +575,7 @@ def test_every_recorded_center_is_within_stagnation_decrement(dim, monkeypatch):
         assert np.array_equal(state.x, it.x)
         decrement = math.sqrt(max(float(state.grad @ np.linalg.solve(state.Q, state.grad)), 0.0))
         assert decrement <= vaidya_module._STAGNATION_DECREMENT, f"k={it.k}: {decrement:.3e}"
+        assert decrement <= 1e-6, f"k={it.k}: {decrement:.3e}"
 
 
 class TestVaidyaConfig:
