@@ -12,18 +12,15 @@ against actual tallies.
 from .core import (
     Ball,
     Box,
-    CountingOracle,
     FiniteSum,
-    FunctionOracle,
     HistoryRecord,
     LedgerSnapshot,
     NumericFailureError,
     OracleLedger,
     RunHistory,
-    SmoothOracle,
     seeded_rng,
 )
-from .fgm import FgmState, RestartConfig, fgm_restarted, fgm_run, next_alpha
+from .fgm import FgmState, RestartConfig, fgm_run, next_alpha
 from .problems import (
     Dataset,
     FiniteSumQuadratic,
@@ -76,13 +73,11 @@ __all__ = [
     "Ball",
     "BarrierState",
     "Box",
-    "CountingOracle",
     "Dataset",
     "DegeneratePolytopeError",
     "FgmState",
     "FiniteSum",
     "FiniteSumQuadratic",
-    "FunctionOracle",
     "HistoryRecord",
     "InfeasiblePointError",
     "InnerStagnationError",
@@ -100,7 +95,6 @@ __all__ = [
     "QuadraticSolution",
     "RestartConfig",
     "RunHistory",
-    "SmoothOracle",
     "UnsupportedLabelError",
     "VaidyaConfig",
     "VaidyaIteration",
@@ -111,7 +105,6 @@ __all__ = [
     "delta_from_eps",
     "delta_subgradient",
     "eps_floor",
-    "fgm_restarted",
     "fgm_run",
     "inner_solve",
     "load_libsvm",

@@ -14,9 +14,7 @@ time column is pinned to zero by running histories without a clock.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -24,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Ball, Box, FiniteSum, OracleLedger, RunHistory, seeded_rng
+from .core import Ball, Box, FiniteSum, OracleLedger, RunHistory, _write_lines, seeded_rng
 from .problems import (
     Dataset,
     load_libsvm,
@@ -160,16 +158,16 @@ def parse_synthetic(spec: str) -> tuple[str, dict[str, float]]:
     return kind, params
 
 
+@dataclass(frozen=True)
 class BuiltProblem:
     """A problem plus everything the runner needs that the problem omits:
     a stop target when the optimum is known, and joint per-component
     smoothness bounds for the joint-variable method.
     """
 
-    def __init__(self, problem: MinMinProblem, target: float | None, joint_lipschitz):
-        self.problem = problem
-        self.target = target
-        self.joint_lipschitz = joint_lipschitz
+    problem: MinMinProblem
+    target: float | None
+    joint_lipschitz: np.ndarray | None
 
 
 def _logreg_problem(dataset: Dataset, cfg: ExperimentConfig) -> BuiltProblem:
@@ -306,16 +304,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> tuple[dict, RunHistory]:
         "best_value": outcome["best_value"],
         "stop_reason": outcome["stop_reason"],
     }
-    (out / "summary.txt").write_text(_format_summary(summary), encoding="utf-8", newline="")
+    _write_summary(summary, out / "summary.txt")
     return summary, history
 
 
-def _format_summary(summary: dict) -> str:
+def _write_summary(summary: dict, target) -> None:
+    """``key=value`` lines, floats by ``repr``."""
     lines = []
     for key, value in summary.items():
         text = repr(float(value)) if isinstance(value, float) else str(value)
         lines.append(f"{key}={text}")
-    return "\n".join(lines) + "\n"
+    _write_lines(lines, target)
 
 
 def _running_best(history: RunHistory) -> list[tuple[int, float]]:
@@ -357,7 +356,7 @@ def compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, out_dir) -> dict:
             val_b = curve_b[idx_b][1]
             idx_b += 1
         lines.append(f"{g},{val_a!r},{val_b!r}")
-    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _write_lines(lines, out / "compare.csv")
 
     final_a = summary_a["best_value"]
     final_b = summary_b["best_value"]
@@ -374,7 +373,7 @@ def compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, out_dir) -> dict:
         "final_b": final_b,
         "winner": winner,
     }
-    (out / "summary.txt").write_text(_format_summary(verdict), encoding="utf-8", newline="")
+    _write_summary(verdict, out / "summary.txt")
     return verdict
 
 
@@ -408,11 +407,6 @@ def _config_from(args: argparse.Namespace, method: str) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    level = {"debug": logging.DEBUG, "info": logging.INFO}.get(
-        os.environ.get("MINMIN_LOG", "").lower()
-    )
-    if level is not None:
-        logging.basicConfig(level=level)
     parser = argparse.ArgumentParser(prog="minmin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -429,12 +423,11 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             summary, _ = run_experiment(_config_from(args, args.method), args.out)
-            sys.stdout.write(_format_summary(summary))
         else:
-            verdict = compare(
+            summary = compare(
                 _config_from(args, args.method_a), _config_from(args, args.method_b), args.out
             )
-            sys.stdout.write(_format_summary(verdict))
+        _write_summary(summary, sys.stdout)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Shared vocabulary: projectable feasible sets, counted oracles, run histories."""
+"""Shared vocabulary: projectable feasible sets, call ledgers, run histories."""
 
 from __future__ import annotations
 
@@ -6,26 +6,21 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Ball",
     "Box",
-    "CountingOracle",
     "FiniteSum",
-    "FunctionOracle",
     "HistoryRecord",
     "LedgerSnapshot",
     "NumericFailureError",
     "OracleLedger",
     "RunHistory",
-    "SmoothOracle",
     "seeded_rng",
 ]
-
-CSV_HEADER = "step,objective,grad_x_calls,grad_y_calls,inversions,time_s"
 
 
 class NumericFailureError(RuntimeError):
@@ -145,9 +140,9 @@ class OracleLedger:
     ``grad_y_calls`` counts component-gradient calls for finite sums and full
     gradients otherwise.  ``matrix_inversions`` counts one Cholesky
     factorization of the barrier Hessian H per Newton iterate while
-    recentering the cutting-plane polytope.  The solve with Q for each Newton
-    direction and the factorizations of rejected line-search trials are not
-    charged (ROADMAP item 2(a)).
+    recentering the cutting-plane polytope.  The solve with the barrier
+    Hessian for each Newton direction and the factorizations of rejected
+    line-search trials are not charged (ROADMAP item 2(a)).
     """
 
     def __init__(self):
@@ -224,46 +219,24 @@ class RunHistory:
         return iter(self._records)
 
     def write_csv(self, target) -> None:
-        """Write ``step,objective,grad_x_calls,grad_y_calls,inversions,time_s`` rows.
-
-        Output is UTF-8 with LF line endings and '.' decimal separators.
-        """
-        lines = [CSV_HEADER]
+        """Write ``step,objective,grad_x_calls,grad_y_calls,inversions,time_s`` rows."""
+        lines = ["step,objective,grad_x_calls,grad_y_calls,inversions,time_s"]
         for r in self._records:
             lines.append(
                 f"{r.step},{r.objective!r},{r.ledger.grad_x_calls},"
                 f"{r.ledger.grad_y_calls},{r.ledger.matrix_inversions},{r.time_s!r}"
             )
-        text = "\n".join(lines) + "\n"
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            Path(target).write_text(text, encoding="utf-8", newline="")
+        _write_lines(lines, target)
 
 
-class SmoothOracle(Protocol):
-    """First-order oracle for a smooth objective on a fixed-dimension space."""
-
-    dimension: int
-
-    def value(self, y: np.ndarray) -> float: ...
-
-    def gradient(self, y: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class FunctionOracle:
-    """Smooth oracle assembled from plain callables."""
-
-    dimension: int
-    value_fn: Callable[[np.ndarray], float]
-    gradient_fn: Callable[[np.ndarray], np.ndarray]
-
-    def value(self, y) -> float:
-        return float(self.value_fn(np.asarray(y, dtype=float)))
-
-    def gradient(self, y) -> np.ndarray:
-        return np.asarray(self.gradient_fn(np.asarray(y, dtype=float)), dtype=float)
+def _write_lines(lines, target) -> None:
+    """Write ``lines`` with LF line ends and one trailing newline, to a text
+    stream or as UTF-8 to a path: the format of every artifact."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        Path(target).write_text(text, encoding="utf-8", newline="")
 
 
 class FiniteSum:
@@ -325,22 +298,3 @@ class FiniteSum:
         for i in range(self.m):
             total += self._component_gradient(i, y)
         return total / self.m
-
-
-class CountingOracle:
-    """Ledger-charging view of a smooth oracle (one gradient = ``cost`` calls)."""
-
-    def __init__(self, inner, ledger: OracleLedger, cost: int = 1):
-        if cost < 1:
-            raise ValueError("cost per gradient must be at least 1")
-        self._inner = inner
-        self._ledger = ledger
-        self._cost = int(cost)
-        self.dimension = inner.dimension
-
-    def value(self, y) -> float:
-        return self._inner.value(y)
-
-    def gradient(self, y) -> np.ndarray:
-        self._ledger.add_grad_y(self._cost)
-        return self._inner.gradient(y)

@@ -1,10 +1,11 @@
-"""Projected fast gradient method and its strong-convexity restart wrapper.
+"""Projected fast gradient method and its strong-convexity restart schedule.
 
 The base method keeps the usual triple of sequences (y, z, u) with step sizes
 alpha_{k+1} chosen as the largest root of L*alpha^2 = A_k + alpha, which gives
 the f(y_N) - f* <= 8*L*R^2/(N+1)^2 rate with R^2 = 0.5*||y_0 - y*||^2.  For a
 mu-strongly convex objective, restarting every N1 = ceil(4*sqrt(L/mu)) steps
-halves the squared distance to the minimizer per block.
+halves the squared distance to the minimizer per block; ``inner_solve`` runs
+those blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import NumericFailureError
 
-__all__ = ["FgmState", "RestartConfig", "fgm_restarted", "fgm_run", "next_alpha"]
+__all__ = ["FgmState", "RestartConfig", "fgm_run", "next_alpha"]
 
 
 @dataclass(frozen=True)
@@ -110,25 +111,3 @@ class RestartConfig:
     @property
     def num_restarts(self) -> int:
         return max(1, math.ceil(0.5 * math.log(self.mu * self.R * self.R / self.epsilon)))
-
-
-def fgm_restarted(
-    oracle,
-    region,
-    y0,
-    config: RestartConfig,
-    stop_when: Callable[[np.ndarray], bool] | None = None,
-) -> np.ndarray:
-    """Restarted fast gradient method: ``num_restarts`` blocks of fixed length.
-
-    Each block halves the squared distance to the minimizer, so the output
-    satisfies f(y) - f* <= epsilon for the configured constants.  An optional
-    ``stop_when`` predicate is checked between blocks to cut the run short
-    (useful when an accuracy certificate is available).
-    """
-    y = np.asarray(y0, dtype=float).copy()
-    for _ in range(config.num_restarts):
-        y = fgm_run(oracle, region, y, config.L, config.steps_per_restart)
-        if stop_when is not None and stop_when(y):
-            break
-    return y

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 from scipy.linalg.lapack import dtrtrs
 
-from .core import Box, OracleLedger
+from .core import Box, OracleLedger, _write_lines
 
 __all__ = [
     "BarrierState",
@@ -427,15 +426,11 @@ class VaidyaResult:
 
 
 def write_iterations_csv(iterations, target) -> None:
-    """Per-iteration dump: ``k,m_rows,min_sigma,action,f_best`` (LF, UTF-8)."""
+    """Per-iteration dump: ``k,m_rows,min_sigma,action,f_best`` rows."""
     lines = ["k,m_rows,min_sigma,action,f_best"]
     for it in iterations:
         lines.append(f"{it.k},{it.m_rows},{it.min_sigma!r},{it.action},{it.best_value!r}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text, encoding="utf-8", newline="")
+    _write_lines(lines, target)
 
 
 def vaidya_minimize(

@@ -26,7 +26,6 @@ from minmin import (
     Box,
     Dataset,
     FiniteSum,
-    FunctionOracle,
     MinMinConfig,
     MinMinProblem,
     OracleLedger,
@@ -49,6 +48,7 @@ from minmin import (
     varag_run,
 )
 from minmin.cli import BlockSet
+from oracles import FunctionOracle
 
 
 def _scorecard(name: str, ok: bool, details: str) -> str:

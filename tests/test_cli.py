@@ -1,12 +1,13 @@
 """Tests for the experiment runner CLI."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from minmin import Ball, Box, OracleLedger
+from minmin import Ball, Box, OracleLedger, VaidyaConfig, vaidya_minimize, write_iterations_csv
 from minmin.cli import (
     BlockSet,
     ExperimentConfig,
@@ -248,6 +249,56 @@ class TestCompare:
         cfg_b = quadratic_config(method="approach2", seed=1)
         with pytest.raises(ValueError, match="differ only in the method"):
             compare(cfg_a, cfg_b, tmp_path)
+
+
+class TestArtifactBytes:
+    """Exact bytes of the written artifacts on small seeded runs: UTF-8, LF
+    line ends, one trailing newline, floats by ``repr``."""
+
+    def test_run_summary(self, tmp_path):
+        run_experiment(quadratic_config(method="approach1", budget=1500), tmp_path)
+        assert (tmp_path / "summary.txt").read_bytes() == (
+            b"method=approach1\n"
+            b"target_eps=0.0001\n"
+            b"outer_iters=8\n"
+            b"grad_x_calls=48\n"
+            b"grad_y_calls=48\n"
+            b"inversions=21\n"
+            b"best_value=0.00033692305842045737\n"
+            b"stop_reason=stop_condition\n"
+        )
+
+    def test_compare_summary_and_csv(self, tmp_path):
+        compare(quadratic_config(method="approach2", budget=1500),
+                quadratic_config(method="varag-joint", budget=1500), tmp_path)
+        assert (tmp_path / "summary.txt").read_bytes() == (
+            b"method_a=approach2\n"
+            b"final_a=0.00033692305842045737\n"
+            b"method_b=varag-joint\n"
+            b"final_b=0.00032988618788933337\n"
+            b"winner=varag-joint\n"
+        )
+        data = (tmp_path / "compare.csv").read_bytes()
+        assert data.startswith(b"grad_y,obj_a,obj_b\n0,0.0004157472925175891,0.0004157472925175891\n")
+        assert (len(data), data.count(b"\n")) == (1021, 22)
+        assert hashlib.sha256(data).hexdigest() == (
+            "461c65fc6be2d1d1cdcdcf3156b040feb29586130167e526ae14f3b18d748ea4"
+        )
+
+    def test_iterations_csv_to_path(self, tmp_path):
+        target = np.array([0.3, -0.2])
+        oracle = lambda x: (float((x - target) @ (x - target)), 2.0 * (x - target))
+        result = vaidya_minimize(oracle, 2, Box(-np.ones(2), np.ones(2)),
+                                 VaidyaConfig(max_iterations=5))
+        write_iterations_csv(result.iterations, tmp_path / "iterations.csv")
+        assert (tmp_path / "iterations.csv").read_bytes() == (
+            b"k,m_rows,min_sigma,action,f_best\n"
+            b"0,4,0.4999999999999999,add,0.13\n"
+            b"1,5,0.015250801161414855,add,0.12934994332295557\n"
+            b"2,6,0.015013409707598135,add,0.12869537120389707\n"
+            b"3,7,0.014779701519062724,add,0.12803627930747355\n"
+            b"4,8,0.014549620242682713,add,0.1273727023861543\n"
+        )
 
 
 class TestMain:

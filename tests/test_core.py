@@ -9,15 +9,14 @@ from numpy.testing import assert_allclose, assert_array_equal
 from minmin import (
     Ball,
     Box,
-    CountingOracle,
     FiniteSum,
-    FunctionOracle,
     LedgerSnapshot,
     NumericFailureError,
     OracleLedger,
     RunHistory,
     seeded_rng,
 )
+from oracles import CountingOracle, FunctionOracle
 
 
 class TestBall:

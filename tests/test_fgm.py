@@ -1,4 +1,4 @@
-"""Tests for the projected fast gradient method and its restart wrapper."""
+"""Tests for the projected fast gradient method and its restart schedule."""
 
 import dataclasses
 import math
@@ -10,12 +10,10 @@ from numpy.testing import assert_allclose
 from minmin import (
     Ball,
     Box,
-    CountingOracle,
-    FunctionOracle,
+    MinMinProblem,
     NumericFailureError,
     OracleLedger,
     RestartConfig,
-    fgm_restarted,
     fgm_run,
     inner_solve,
     make_logreg_minmin,
@@ -25,6 +23,7 @@ from minmin import (
     seeded_rng,
     strong_convexity_gap_bound,
 )
+from oracles import CountingOracle, FunctionOracle
 
 
 def quadratic_oracle(D, c):
@@ -183,33 +182,40 @@ def test_each_block_contracts_squared_distance(ratio):
         assert d1 <= 0.5 * d0 + 1e-15
 
 
+def fixed_x_problem(D, c, region):
+    """The quadratic as the inner problem of a min-min problem whose x block
+    does not enter F: inner_solve then runs the restarted method on it."""
+    oracle = quadratic_oracle(D, c)
+    return MinMinProblem(
+        x_dim=1, y_dim=oracle.dimension, set_x=Box(-np.ones(1), np.ones(1)), set_y=region,
+        value=lambda x, y: oracle.value(y), grad_y=lambda x, y: oracle.gradient(y),
+        subgrad_x=lambda x, y: np.zeros(1), L=float(np.max(D)), mu=float(np.min(D)),
+    )
+
+
 def test_restarted_reaches_target_accuracy():
     rng = seeded_rng(77)
     n = 12
     D = np.linspace(0.5, 40.0, n)
     c = rng.normal(size=n)
-    oracle = quadratic_oracle(D, c)
     region = Box(-10.0 * np.ones(n), 10.0 * np.ones(n))
     y0 = region.project(c + rng.normal(size=n))
     eps = 1e-9
-    cfg = RestartConfig(L=40.0, mu=0.5, epsilon=eps, R=float(np.linalg.norm(y0 - c)) + 1.0)
-    y = fgm_restarted(oracle, region, y0, cfg)
-    assert oracle.value(y) - 0.0 <= eps
+    _, value = inner_solve(fixed_x_problem(D, c, region), np.zeros(1), eps, y_start=y0)
+    assert value - 0.0 <= eps
 
 
 def test_stop_when_short_circuits_blocks():
-    oracle = quadratic_oracle([1.0, 1.0], [0.0, 0.0])
-    region = Ball(np.zeros(2), 5.0)
-    cfg = RestartConfig(L=1.0, mu=1.0, epsilon=1e-14, R=3.0)
+    # L = mu = 1: the first step lands on the minimizer, so the certificate
+    # after the first block ends the solve.  Gradients: the entry
+    # certificate, one block of ceil(4*sqrt(L/mu)) = 4 steps, its certificate.
+    problem = fixed_x_problem([1.0, 1.0], [0.0, 0.0], Ball(np.zeros(2), 5.0))
+    eps = 1e-14
+    cfg = RestartConfig(L=1.0, mu=1.0, epsilon=eps, R=problem.diameter_y / math.sqrt(2.0))
     assert cfg.num_restarts > 1
-    calls = []
-
-    def stop_when(y):
-        calls.append(np.array(y))
-        return True  # certified immediately after the first block
-
-    fgm_restarted(oracle, region, np.array([2.0, 1.0]), cfg, stop_when=stop_when)
-    assert len(calls) == 1
+    ledger = OracleLedger()
+    inner_solve(problem, np.zeros(1), eps, ledger=ledger, y_start=np.array([2.0, 1.0]))
+    assert ledger.grad_y_calls == 1 + 4 + 1
 
 
 # ---------------------------------------------------------------------------
