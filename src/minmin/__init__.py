@@ -44,6 +44,7 @@ from .solver import (
     delta_from_eps,
     delta_subgradient,
     eps_floor,
+    frank_wolfe_gap,
     inner_solve,
     solve_minmin,
     strong_convexity_gap_bound,
@@ -106,6 +107,7 @@ __all__ = [
     "delta_subgradient",
     "eps_floor",
     "fgm_run",
+    "frank_wolfe_gap",
     "inner_solve",
     "load_libsvm",
     "logistic_loss",

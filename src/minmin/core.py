@@ -84,6 +84,11 @@ class Ball:
     def bounding_box(self) -> "Box":
         return Box(self.center - self.radius, self.center + self.radius)
 
+    def support(self, v) -> float:
+        """max over the ball of v @ y, which is v @ center + radius * ||v||."""
+        v = _point(v, self.center.shape)
+        return float(v @ self.center + self.radius * math.sqrt(v @ v))
+
 
 @dataclass(frozen=True)
 class Box:
@@ -121,6 +126,11 @@ class Box:
 
     def bounding_box(self) -> "Box":
         return self
+
+    def support(self, v) -> float:
+        """max over the box of v @ y, taking each coordinate at its better bound."""
+        v = _point(v, self.lower.shape)
+        return float(np.sum(np.maximum(v * self.lower, v * self.upper)))
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

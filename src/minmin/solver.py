@@ -1,16 +1,27 @@
 """Two-level min-min driver.
 
-Solves min_{x in Q_x} min_{y in Q_y} F(x, y) where F(x, .) is mu-strongly
-convex and L-smooth (high-dimensional y) and F(., y) is merely convex
-(low-dimensional x).  The outer loop is Vaidya's cutting-plane method driven by
-delta-subgradients: if y~ solves the inner problem to accuracy eps, then
-grad_x F(x, y~) is a delta-subgradient of f(x) = min_y F(x, y) with
+Solves min_{x in Q_x} min_{y in Q_y} F(x, y) where F is jointly convex,
+F(x, .) is mu-strongly convex and L-smooth (high-dimensional y) and F(., y)
+is merely convex (low-dimensional x).  The outer loop is Vaidya's
+cutting-plane method driven by delta-subgradients: if y~ solves the inner
+problem to accuracy eps, then grad_x F(x, y~) is a delta-subgradient of
+f(x) = min_y F(x, y) with
 
     delta = (L*D + G) * sqrt(2*eps/mu),
 
-where D = diam(Q_y) and G bounds ||grad_y F(x, y(x))||.  Inner solves use the
-restarted fast gradient method or Varag and are warm-started along the outer
-trajectory.
+where D = diam(Q_y) and G bounds ||grad_y F(x, y(x))||.  That bound is a
+priori and loose.  The Frank-Wolfe gap at y~,
+
+    delta_FW = max_{y' in Q_y} grad_y F(x, y~) @ (y~ - y'),
+
+is measured from the gradient the accuracy certificate already evaluates.
+Under joint convexity f(x') >= F(x, y~) + grad_x F(x, y~) @ (x' - x) - delta_FW
+for every x', and F(x, y~) - f(x) <= delta_FW, so one measured number bounds
+both the cut error and the value error.  ``solve_minmin`` stops each inner
+solve once delta_FW <= target_epsilon/2 or the certificate reaches the
+scheduled eps_k; the a-priori floor on eps_k only remains as a safety net.
+Inner solves use the restarted fast gradient method or Varag and are
+warm-started along the outer trajectory.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ __all__ = [
     "MinMinResult",
     "delta_from_eps",
     "delta_subgradient",
+    "frank_wolfe_gap",
     "inner_solve",
     "solve_minmin",
     "strong_convexity_gap_bound",
@@ -67,9 +79,11 @@ class MinMinComponents:
 class MinMinProblem:
     """Joint objective with oracle access split by block.
 
-    ``L``/``mu`` are the smoothness / strong-convexity constants of F(x, .)
-    on Q_y; ``grad_norm_bound`` (G) bounds ||grad_y F(x, y(x))|| over Q_x, with
-    y(x) the inner minimizer.  When a finite-sum decomposition is present,
+    F must be jointly convex in (x, y) on Q_x x Q_y: the measured
+    Frank-Wolfe gap is a valid cut error only then (see the module
+    docstring).  ``L``/``mu`` are the smoothness / strong-convexity constants
+    of F(x, .) on Q_y; ``grad_norm_bound`` (G) bounds ||grad_y F(x, y(x))||
+    over Q_x, with y(x) the inner minimizer.  When a finite-sum decomposition is present,
     ``L`` must equal the mean of the component constants.
     """
 
@@ -116,6 +130,17 @@ def strong_convexity_gap_bound(region, mu: float, y, gradient) -> float:
     g = np.asarray(gradient, dtype=float)
     w = y - region.project(y - g / mu)
     return float(g @ w - 0.5 * mu * (w @ w))
+
+
+def frank_wolfe_gap(region, y, gradient) -> float:
+    """Frank-Wolfe gap max_{z in region} <g, y - z> = <g, y> + support(-g).
+
+    For a convex objective it bounds f(y) - f* without any curvature
+    constant, and for a jointly convex F it is also the error of the cut
+    grad_x F(x, y) (module docstring).
+    """
+    g = np.asarray(gradient, dtype=float)
+    return float(g @ np.asarray(y, dtype=float) + region.support(-g))
 
 
 class _FixedXGradient:
@@ -167,15 +192,18 @@ def inner_solve(
     ledger: OracleLedger | None = None,
     y_start=None,
     max_grad_y: int | None = None,
+    delta_target: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve min_y F(x, y) to accuracy ``eps_inner``; returns (y~, F(x, y~)).
 
     Work stops as soon as the strong-convexity certificate drops below
-    ``eps_inner``, which makes warm starts pay off; the FGM path pays one
-    gradient per check while the Varag path reuses each epoch's anchor
-    gradient so checks are free.  The FGM path additionally caps at the
-    restart-count guarantee with R = D/sqrt(2); the Varag path raises
-    InnerStagnationError if a generous epoch cap passes uncertified.
+    ``eps_inner``, or, with ``delta_target`` set, as soon as the Frank-Wolfe
+    gap from the same gradient is at most ``delta_target``; this makes warm
+    starts pay off.  The FGM path pays one gradient per check while the
+    Varag path reuses each epoch's anchor gradient so checks are free.  The
+    FGM path additionally caps at the restart-count guarantee with
+    R = D/sqrt(2); the Varag path raises InnerStagnationError if a generous
+    epoch cap passes with neither stop met.
     ``max_grad_y`` bounds the gradient budget (used for end-of-run
     truncation; the accuracy contract is then waived); without a ``ledger``
     the spend is counted on a private one, so the budget holds either way.
@@ -198,6 +226,14 @@ def inner_solve(
     def spent() -> int:
         return ledger.grad_y_calls - start_calls
 
+    def done(point: np.ndarray, gradient: np.ndarray) -> bool:
+        """The stop test on a gradient already in hand: certificate or FW gap."""
+        if strong_convexity_gap_bound(region, mu, point, gradient) <= eps_inner:
+            return True
+        if delta_target is None:
+            return False
+        return frank_wolfe_gap(region, point, gradient) <= delta_target
+
     if selector == "restarted-fgm":
         cost = problem.components.m if problem.components is not None else 1
         oracle = _FixedXGradient(problem, x)
@@ -207,21 +243,21 @@ def inner_solve(
             ledger.add_grad_y(cost * oracle.evaluated)
             oracle.evaluated = 0
 
-        def certificate(point: np.ndarray) -> float:
-            return strong_convexity_gap_bound(region, mu, point, oracle.gradient(point))
+        def stop_at(point: np.ndarray) -> bool:
+            return done(point, oracle.gradient(point))
 
         config = RestartConfig(L=L, mu=mu, epsilon=eps_inner, R=problem.diameter_y / math.sqrt(2.0))
         steps = config.steps_per_restart
-        # One ledger charge per restart block (its steps and its certificate);
+        # One ledger charge per restart block (its steps and its stop check);
         # the ``finally`` keeps the charge exact when a block raises.
         try:
-            if certificate(y) > eps_inner:
+            if not stop_at(y):
                 for _ in range(config.num_restarts):
                     charge()
                     if max_grad_y is not None and spent() + cost * steps > max_grad_y:
                         break
                     y = fgm_run(oracle, region, y, L, steps)
-                    if certificate(y) <= eps_inner:
+                    if stop_at(y):
                         break
         finally:
             charge()
@@ -234,10 +270,10 @@ def inner_solve(
 
         def grad_stop(anchor: np.ndarray, gradient: np.ndarray) -> bool:
             nonlocal certified
-            certified = strong_convexity_gap_bound(region, mu, anchor, gradient) <= eps_inner
+            certified = done(anchor, gradient)
             return certified
 
-        # +1 epoch so the last in-cap anchor still gets a certificate check.
+        # +1 epoch so the last in-cap anchor still gets a stop check.
         cap = _varag_epoch_cap(schedule, eps_inner, problem.diameter_y) + 1
         remaining = None if max_grad_y is None else max(0, max_grad_y - spent())
         if remaining is None or remaining > 0:
@@ -285,8 +321,10 @@ class MinMinConfig:
     """Outer/inner composition settings.
 
     ``eps0`` defaults to mu*D^2/8; the inner accuracy schedule is
-    eps_k = max(eps0 * decay^k, eps_floor) where the floor makes
-    delta(eps) <= target_epsilon/2.
+    eps_k = max(eps0 * decay^k, eps_floor).  Each inner solve also stops as
+    soon as its measured Frank-Wolfe gap is at most target_epsilon/2, which
+    bounds its value and cut errors directly; the floor, where the a-priori
+    delta(eps) reaches target_epsilon/2, is only a safety net behind it.
     """
 
     target_epsilon: float
@@ -321,7 +359,12 @@ class MinMinResult:
 
 
 def eps_floor(problem: MinMinProblem, target_epsilon: float) -> float:
-    """Largest inner accuracy whose delta stays below target_epsilon / 2."""
+    """Largest inner accuracy whose a-priori delta stays below target_epsilon / 2.
+
+    A safety net: ``solve_minmin`` stops inner solves on the measured
+    Frank-Wolfe gap, which usually reaches target_epsilon / 2 long before
+    the certificate reaches this floor.
+    """
     denom = 2.0 * (problem.L * problem.diameter_y + problem.grad_norm_bound)
     return 0.5 * problem.mu * (target_epsilon / denom) ** 2
 
@@ -336,8 +379,9 @@ def solve_minmin(
     """Outer Vaidya over x, inner solves over y, delta-subgradient cuts.
 
     Each outer oracle call solves the inner problem to eps_k (geometric
-    schedule with a delta-based floor), warm-started from the previous inner
-    solution, and reports (F(x, y~), grad_x F(x, y~)) to the cutting plane.
+    schedule with a delta-based floor) or until the Frank-Wolfe gap at y~ is
+    at most target_epsilon/2, warm-started from the previous inner solution,
+    and reports (F(x, y~), grad_x F(x, y~)) to the cutting plane.
     History rows are appended per oracle call; the best pair by objective value
     is returned.  ``stop_below`` and ``config.grad_y_budget`` stop the outer
     loop early (history is still returned).
@@ -369,6 +413,7 @@ def solve_minmin(
             y_tilde, value = inner_solve(
                 problem, x, eps_k, config.inner, child_seed, ledger,
                 y_start=state["y_warm"], max_grad_y=remaining,
+                delta_target=0.5 * config.target_epsilon,
             )
         except InnerStagnationError as exc:
             raise InnerStagnationError(

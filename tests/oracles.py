@@ -1,4 +1,5 @@
-"""Smooth test oracles built from plain callables, with optional ledger charging."""
+"""Smooth test oracles built from plain callables, with optional ledger charging,
+and brute-force references the library's closed forms are checked against."""
 
 from dataclasses import dataclass
 from typing import Callable
@@ -40,3 +41,11 @@ class CountingOracle:
     def gradient(self, y) -> np.ndarray:
         self._ledger.add_grad_y(self._cost)
         return self._inner.gradient(y)
+
+
+def ball_fw_gap(ball, y, g) -> float:
+    """Frank-Wolfe gap over a ball from its explicit minimizer c - R*g/||g||."""
+    norm = float(np.linalg.norm(g))
+    if norm == 0.0:
+        return 0.0
+    return float(g @ (y - (ball.center - ball.radius * g / norm)))

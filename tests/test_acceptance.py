@@ -36,6 +36,7 @@ from minmin import (
     delta_from_eps,
     delta_subgradient,
     fgm_run,
+    frank_wolfe_gap,
     inner_solve,
     load_libsvm,
     logistic_loss,
@@ -44,11 +45,13 @@ from minmin import (
     make_quadratic_minmin,
     seeded_rng,
     solve_minmin,
+    solver,
+    strong_convexity_gap_bound,
     vaidya_minimize,
     varag_run,
 )
 from minmin.cli import BlockSet
-from oracles import FunctionOracle
+from oracles import FunctionOracle, ball_fw_gap
 
 
 def _scorecard(name: str, ok: bool, details: str) -> str:
@@ -345,6 +348,8 @@ def test_inexact_inner_solves_yield_valid_delta_subgradients():
     #   f(x') >= f^(x) + <g, x' - x> - delta,  delta = (L*D + G)*sqrt(2*eps/mu),
     # for all x'.  Checked on a coupled quadratic (d=2, n=20) whose inner
     # minimizer is known in closed form, over 100 random pairs per accuracy.
+    # F is jointly convex, so the same bound must also hold pair by pair with
+    # delta replaced by the Frank-Wolfe gap delta_FW measured at each y~.
     rng = seeded_rng(11)
     coupling = seeded_rng(6).normal(size=(20, 2)) / math.sqrt(20.0)
     problem, _ = make_quadratic_minmin(2, 20, mu=0.8, seed=7, coupling=coupling)
@@ -357,24 +362,96 @@ def test_inexact_inner_solves_yield_valid_delta_subgradients():
     for eps in (1e-2, 1e-4):
         delta = delta_from_eps(problem, eps)
         worst = math.inf
+        worst_measured = math.inf  # min over pairs of margin + delta_FW
+        largest_fw = 0.0
         for _ in range(100):
             x = problem.set_x.project(rng.uniform(-3.0, 3.0, size=2))
             x_other = problem.set_x.project(rng.uniform(-3.0, 3.0, size=2))
             y_tilde, f_hat = inner_solve(problem, x, eps, seed=3)
             g = delta_subgradient(problem, x, y_tilde)
-            worst = min(worst, exact_value(x_other) - f_hat - g @ (x_other - x))
-        results[eps] = (worst, delta)
+            delta_fw = frank_wolfe_gap(problem.set_y, y_tilde, problem.grad_y(x, y_tilde))
+            margin = exact_value(x_other) - f_hat - g @ (x_other - x)
+            worst = min(worst, margin)
+            worst_measured = min(worst_measured, margin + delta_fw)
+            largest_fw = max(largest_fw, delta_fw)
+        results[eps] = (worst, delta, worst_measured, largest_fw)
 
-    ok = all(worst >= -delta for worst, delta in results.values())
+    ok = all(worst >= -delta and measured >= 0.0 for worst, delta, measured, _ in results.values())
     _scorecard(
         "delta-subgradient validity", ok,
         "zero violations: " + ", ".join(
-            f"eps={eps:.0e}: worst margin {worst:.3e} >= -delta=-{delta:.3e}"
-            for eps, (worst, delta) in results.items()
+            f"eps={eps:.0e}: worst margin {worst:.3e} >= -delta=-{delta:.3e}, "
+            f"worst margin + delta_FW {measured:.3e} >= 0 (largest delta_FW {fw:.3e})"
+            for eps, (worst, delta, measured, fw) in results.items()
         ),
     )
-    for eps, (worst, delta) in results.items():
+    for eps, (worst, delta, measured, _) in results.items():
         assert worst >= -delta, f"eps={eps}: {worst:.3e} < {-delta:.3e}"
+        assert measured >= 0.0, f"eps={eps}: a margin falls below -delta_FW by {-measured:.3e}"
+
+
+def test_inner_solves_stop_on_certificate_measured_gap_or_budget(monkeypatch):
+    # Every inner solve of a solve_minmin run must end with its certificate
+    # <= eps_k, or with delta_FW <= target/2 (computed here from the ball's
+    # explicit minimizer), or with too little budget left for another restart
+    # block (FGM) or none left (Varag).  Recorded through a wrapper around
+    # solver.inner_solve on two small seeded quadratics; each run must reach
+    # both the measured-gap stop and the budget stop at least once.
+    target = 1e-7
+    runs = {
+        "restarted-fgm": (_block_quadratic(30.0, seed=3, normalized=True), 8000),
+        "varag": (make_quadratic_minmin(2, 10, mu=0.5, seed=4, num_components=4)[0], 12000),
+    }
+    t0 = time.perf_counter()
+    kinds = {}
+    violations = []
+    for selector, (problem, budget) in runs.items():
+        records = []
+
+        def recording(problem, x, eps_inner, selector="restarted-fgm", seed=0, ledger=None,
+                      **kwargs):
+            before = ledger.grad_y_calls
+            y, value = inner_solve(problem, x, eps_inner, selector, seed, ledger, **kwargs)
+            records.append((x, y, eps_inner, kwargs, ledger.grad_y_calls - before))
+            return y, value
+
+        monkeypatch.setattr(solver, "inner_solve", recording)
+        solve_minmin(
+            problem,
+            MinMinConfig(target_epsilon=target, inner=selector, grad_y_budget=budget,
+                         vaidya=VaidyaConfig(max_iterations=400)),
+            ledger=OracleLedger(),
+        )
+        monkeypatch.undo()
+
+        counts = {"certificate": 0, "measured gap": 0, "budget": 0}
+        for x, y, eps_k, kwargs, spent in records:
+            g = problem.grad_y(x, y)
+            if selector == "restarted-fgm":
+                block = RestartConfig(L=problem.L, mu=problem.mu, epsilon=eps_k,
+                                      R=problem.diameter_y / math.sqrt(2.0)).steps_per_restart
+            else:
+                block = 1
+            if strong_convexity_gap_bound(problem.set_y, problem.mu, y, g) <= eps_k:
+                counts["certificate"] += 1
+            elif ball_fw_gap(problem.set_y, y, g) <= 0.5 * target:
+                counts["measured gap"] += 1
+            elif kwargs["max_grad_y"] is not None and spent + block > kwargs["max_grad_y"]:
+                counts["budget"] += 1
+            else:
+                violations.append((selector, eps_k, spent, ball_fw_gap(problem.set_y, y, g)))
+        kinds[selector] = counts
+    elapsed = time.perf_counter() - t0
+
+    exercised = all(counts["measured gap"] and counts["budget"] for counts in kinds.values())
+    ok = not violations and exercised and elapsed < 10.0
+    _scorecard(
+        "inner stop contract", ok,
+        f"stops by kind {kinds}; {len(violations)} solves ended otherwise; {elapsed:.1f}s",
+    )
+    assert not violations, violations[:3]
+    assert exercised, kinds
+    assert elapsed < 10.0
 
 
 # ----------------------------------------------------------------------------
@@ -501,14 +578,16 @@ def test_nested_solver_reaches_target_and_scales_with_condition_number():
 def test_end_to_end_recentering_factorizations_per_iteration():
     # Exact-Hessian Newton recentering takes O(1) steps per add or drop: at
     # most 4 Cholesky factorizations of H per outer iteration over the nested
-    # solves, with the outer calls and the grad_y sweep left as they were.
+    # solves.  The outer calls and the grad_y sweep are pinned; the sweep
+    # counts are those of inner solves that stop on the measured Frank-Wolfe
+    # gap (<= target/2) as well as on the certificate.
     data = _end_to_end()
     iterations = [it for run in data["runs"] for it in run["result"].vaidya.iterations]
     per_iteration = sum(it.factorizations for it in iterations) / len(iterations)
     calls = [run["result"].oracle_calls for run in data["runs"]]
     sweep = {int(kappa): grads for kappa, grads in data["sweep"].items()}
     expected_calls = [401, 495, 495, 495]
-    expected_sweep = {10: 32541, 100: 113081, 1000: 353391}
+    expected_sweep = {10: 26381, 100: 76591, 1000: 181359}
 
     ok = per_iteration <= 4.0 and calls == expected_calls and sweep == expected_sweep
     _scorecard(

@@ -1,6 +1,7 @@
 """Tests for feasible sets, RNG seeding, oracle accounting and run histories."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -145,6 +146,52 @@ def test_diameter_dominates_sampled_distances(region):
             best = max(best, float(np.linalg.norm(p - q)))
     assert best <= region.diameter() + 1e-12
     assert best > 0.5 * region.diameter()  # the bound is not wildly loose
+
+
+class TestSupport:
+    """support(v) = max over the set of v @ y, against brute force."""
+
+    def test_ball_matches_explicit_maximizer_and_samples(self):
+        rng = seeded_rng(21)
+        ball = Ball(np.array([0.4, -1.2, 2.0]), 1.7)
+        for _ in range(10):
+            v = rng.normal(size=3)
+            support = ball.support(v)
+            maximizer = ball.center + ball.radius * v / np.linalg.norm(v)
+            assert support == pytest.approx(float(v @ maximizer), rel=1e-14, abs=1e-14)
+            directions = rng.normal(size=(1000, 3))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            radii = ball.radius * rng.uniform(0.0, 1.0, size=(1000, 1)) ** (1.0 / 3.0)
+            samples = ball.center + radii * directions
+            values = samples @ v
+            assert values.max() <= support + 1e-12
+            assert values.max() >= support - 0.2 * ball.radius * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_box_matches_best_vertex(self, n):
+        rng = seeded_rng(22 + n)
+        lower = rng.uniform(-3.0, 0.0, size=n)
+        box = Box(lower, lower + rng.uniform(0.1, 2.0, size=n))
+        vertices = np.array([
+            np.where(bits, box.upper, box.lower)
+            for bits in itertools.product([False, True], repeat=n)
+        ])
+        for _ in range(20):
+            v = rng.normal(size=n)
+            v[rng.uniform(size=n) < 0.2] = 0.0
+            best = float((vertices @ v).max())
+            assert box.support(v) == pytest.approx(best, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("region", [
+        Ball(np.array([1.0, -2.0]), 0.5),
+        Box(np.array([-1.0, 0.5]), np.array([0.2, 3.0])),
+    ])
+    def test_zero_direction_gives_zero(self, region):
+        assert region.support(np.zeros(2)) == 0.0
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            Ball(np.zeros(2), 1.0).support(np.ones(3))
 
 
 class TestSeededRng:

@@ -1,6 +1,7 @@
 """Tests for the two-level min-min driver and its accuracy certificates."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from minmin import (
     delta_from_eps,
     delta_subgradient,
     eps_floor,
+    frank_wolfe_gap,
     inner_solve,
     make_logreg_minmin,
     make_quadratic_minmin,
@@ -29,6 +31,7 @@ from minmin import (
     solve_minmin,
     strong_convexity_gap_bound,
 )
+from oracles import ball_fw_gap
 
 
 def coupled_quadratic(x_dim=2, y_dim=8, mu=0.5, seed=0, num_components=None):
@@ -112,6 +115,54 @@ class TestGapBound:
         region = Ball(np.zeros(1), 1.0)
         with pytest.raises(ValueError, match="positive"):
             strong_convexity_gap_bound(region, 0.0, np.zeros(1), np.ones(1))
+
+
+class TestFrankWolfeGap:
+    def test_ball_matches_explicit_minimizer_and_samples(self):
+        rng = seeded_rng(31)
+        ball = Ball(np.array([0.5, -0.3, 1.2, 0.0]), 2.5)
+        for _ in range(10):
+            y = ball.project(ball.center + 3.0 * rng.normal(size=4))
+            g = rng.normal(size=4)
+            gap = frank_wolfe_gap(ball, y, g)
+            assert gap == pytest.approx(ball_fw_gap(ball, y, g), rel=1e-13, abs=1e-13)
+            directions = rng.normal(size=(1000, 4))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            samples = ball.center + ball.radius * rng.uniform(size=(1000, 1)) ** 0.25 * directions
+            assert ((y - samples) @ g).max() <= gap + 1e-12
+            assert gap >= 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_box_matches_best_vertex(self, n):
+        rng = seeded_rng(40 + n)
+        box = Box(-rng.uniform(0.1, 2.0, size=n), rng.uniform(0.1, 2.0, size=n))
+        vertices = np.array([
+            np.where(bits, box.upper, box.lower)
+            for bits in itertools.product([False, True], repeat=n)
+        ])
+        for _ in range(20):
+            y = rng.uniform(box.lower, box.upper)
+            g = rng.normal(size=n)
+            expected = float(((y - vertices) @ g).max())
+            assert frank_wolfe_gap(box, y, g) == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("region", [
+        Ball(np.array([1.0, -2.0]), 0.5),
+        Box(np.array([-1.0, 0.5]), np.array([0.2, 3.0])),
+    ])
+    def test_zero_gradient_gives_zero(self, region):
+        assert frank_wolfe_gap(region, region.center, np.zeros(2)) == 0.0
+
+    def test_dominates_strong_convexity_bound(self):
+        # Dropping the -mu/2*||y - z||^2 term can only raise the maximum.
+        rng = seeded_rng(32)
+        for region in (Ball(np.zeros(3), 1.5), Box(-np.ones(3), np.array([2.0, 0.5, 1.0]))):
+            for _ in range(20):
+                y = region.project(2.0 * rng.normal(size=3))
+                g = rng.normal(size=3)
+                assert frank_wolfe_gap(region, y, g) >= (
+                    strong_convexity_gap_bound(region, 0.4, y, g) - 1e-12
+                )
 
 
 class TestProblemValidation:
@@ -225,6 +276,31 @@ class TestInnerSolve:
         inner_solve(problem, x, 1e-10, selector="varag", ledger=ledger, y_start=y_star)
         # One epoch-opening full pass (m = 4) certifies; no inner steps run.
         assert ledger.grad_y_calls == 4
+
+    @pytest.mark.parametrize("selector,num_components,first_check", [
+        ("restarted-fgm", None, 1),
+        ("varag", 4, 4),
+    ])
+    def test_measured_gap_stops_on_gradient_in_hand(self, selector, num_components, first_check):
+        # At the start point the certificate is far above eps, but a
+        # delta_target just above the FW gap there ends the solve on the
+        # gradient the first check evaluates, at no extra cost.
+        problem, _, _ = coupled_quadratic(num_components=num_components)
+        x = np.array([0.1, -0.2])
+        y0 = problem.set_y.center
+        g0 = problem.grad_y(x, y0)
+        assert strong_convexity_gap_bound(problem.set_y, problem.mu, y0, g0) > 1e-10
+        gap0 = ball_fw_gap(problem.set_y, y0, g0)
+        ledger = OracleLedger()
+        y_tilde, _ = inner_solve(problem, x, 1e-10, selector=selector, ledger=ledger,
+                                 delta_target=1.001 * gap0)
+        assert ledger.grad_y_calls == first_check
+        assert np.array_equal(y_tilde, y0)
+
+        ledger = OracleLedger()
+        inner_solve(problem, x, 1e-10, selector=selector, ledger=ledger,
+                    delta_target=0.999 * gap0)
+        assert ledger.grad_y_calls > first_check
 
     def test_budget_cap_on_gradient_spend(self):
         problem, _, _ = coupled_quadratic()
